@@ -5,7 +5,8 @@ PY ?= python
 export PYTHONPATH := src
 
 .PHONY: test lint analyze coverage chaos serve-test bench-smoke \
-	bench-graphindex bench-kernel bench-scale bench-serve bench
+	bench-correctness bench-graphindex bench-kernel bench-scale \
+	bench-serve bench
 
 # Tier-1 test suite (the CI "tests" job).
 test:
@@ -47,6 +48,14 @@ analyze:
 # Fast benchmark subset with JSON artifacts (the CI "bench-smoke" job).
 bench-smoke:
 	SST_BENCH_QUICK=1 $(PY) -m pytest benchmarks/test_table1.py benchmarks/test_parallel_scaling.py -q
+
+# Correctness smoke over the perfbench workloads (the CI
+# "bench-correctness" job): a short untraced run of each must exit 0,
+# i.e. identical cold/warm digests, a bit-identical naive re-score and
+# agreement with the serve oracle.  Nothing is gated on timing.
+bench-correctness:
+	$(PY) perfbench/run.py --workload cold-batch --seed 1 --seconds 10 --trace 0
+	$(PY) perfbench/run.py --workload serve-mixed --seed 1 --seconds 10 --trace 0
 
 # Graph-index + disk-cache benchmark, quick mode (the CI
 # "bench-graphindex" job).  Fails on any naive/compiled divergence or a

@@ -13,6 +13,12 @@ fingerprint), and fresh scores are written back, so a later process
 over the same corpus warm-starts.  The unordered-pair canonicalization
 of :meth:`CachedRunner.cache_key` is applied *before* either lookup —
 L1 and L2 always agree on the key of a symmetric pair.
+
+The batch path is set-at-a-time: :meth:`CachedRunner.bulk_lookup`
+sends every distinct L1 miss of a kernel batch to the L2 in one
+:meth:`~repro.core.diskcache.DiskCache.get_many` call, and
+:meth:`CachedRunner.bulk_store` builds each L2 row once.  Single pairs
+(:meth:`CachedRunner.run`) keep the one-row lookup.
 """
 
 from __future__ import annotations
@@ -173,7 +179,8 @@ class CachedRunner(MeasureRunner):
         maps each *distinct* missing cache key to the positions it
         must fill.  The caller computes the pending keys (one kernel
         batch), then hands ``(key, value)`` pairs to
-        :meth:`bulk_store`.
+        :meth:`bulk_store`.  All distinct L1 misses go to the L2 in
+        one batched read.
 
         Counter bookkeeping is per-pair-equivalent: every pair counts
         exactly one L1 hit or miss, and every distinct missing key
@@ -207,23 +214,22 @@ class CachedRunner(MeasureRunner):
         if l1_misses:
             telemetry.count("cache.l1.misses", l1_misses)
         if self.l2 is not None and pending:
-            l2_hits = l2_misses = 0
-            for key in list(pending):
-                stored = self.l2.get(self.fingerprint, self.name,
-                                     *self._l2_columns(key))
-                if stored is None:
-                    l2_misses += 1
-                    continue
-                l2_hits += 1
-                with self._lock:
-                    self.l2_hits += 1
-                    self._table[key] = stored
-                    while len(self._table) > self.capacity:
-                        self._table.popitem(last=False)
-                for position in pending.pop(key):
-                    values[position] = stored
+            # One set-at-a-time L2 read for every distinct missing key.
+            by_columns = {self._l2_columns(key): key for key in pending}
+            stored = self.l2.get_many(self.fingerprint, self.name,
+                                      by_columns)
+            l2_hits = len(stored)
+            l2_misses = len(by_columns) - l2_hits
             with self._lock:
+                self.l2_hits += l2_hits
                 self.l2_misses += l2_misses
+                for columns, value in stored.items():
+                    key = by_columns[columns]
+                    self._table[key] = value
+                    for position in pending.pop(key):
+                        values[position] = value
+                while len(self._table) > self.capacity:
+                    self._table.popitem(last=False)
             if l2_hits:
                 telemetry.count("cache.l2.hits", l2_hits)
                 telemetry.count("cache.l1.stores", l2_hits)
@@ -244,15 +250,19 @@ class CachedRunner(MeasureRunner):
         if not entries:
             return
         with self._lock:
-            for key, value in entries:
-                self._table[key] = value
+            self._table.update(entries)
             while len(self._table) > self.capacity:
                 self._table.popitem(last=False)
         telemetry.count("cache.l1.stores", len(entries))
         if self.l2 is not None:
-            self.l2.put_many(
-                (self.fingerprint, self.name, *self._l2_columns(key), value)
-                for key, value in entries)
+            self.l2.put_many(self._l2_rows(entries))
+
+    def _l2_rows(self, entries) -> list[tuple]:
+        """The L2 rows of ``(key, value)`` entries, each built once."""
+        fingerprint, name = self.fingerprint, self.name
+        return [(fingerprint, name, first.ontology_name, first.concept_name,
+                 second.ontology_name, second.concept_name, value)
+                for (first, second), value in entries]
 
     def merge(self, entries, hits: int = 0, misses: int = 0,
               l2_hits: int = 0, l2_misses: int = 0) -> None:
@@ -280,9 +290,7 @@ class CachedRunner(MeasureRunner):
             self.l2_hits += l2_hits
             self.l2_misses += l2_misses
         if self.l2 is not None:
-            self.l2.put_many(
-                (self.fingerprint, self.name, *self._l2_columns(key), value)
-                for key, value in entries)
+            self.l2.put_many(self._l2_rows(entries))
 
     def flush(self) -> None:
         """Persist any scores still buffered in the L2 tier."""

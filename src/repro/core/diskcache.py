@@ -17,6 +17,11 @@ treat the cache as read-only — their fresh scores travel back to the
 parent through the existing ``CachedRunner.merge`` delta path, and the
 parent persists them exactly once.
 
+Reads are set-at-a-time on the batch path: :meth:`DiskCache.get_many`
+answers a whole kernel batch's misses with one primary-key join per
+chunk of keys, while single-pair lookups keep the one-row
+:meth:`DiskCache.get`.
+
 Self-healing: an L2 problem must never fail a run — at worst it costs
 the warm start.  A corrupt, truncated or schema-mismatched sqlite file
 (``sqlite3.DatabaseError`` on open, a foreign ``PRAGMA user_version``)
@@ -32,10 +37,13 @@ succeeds again.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import sqlite3
 import threading
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -61,6 +69,27 @@ _SCHEMA_VERSION = 1
 _FLUSH_THRESHOLD = 256
 
 _FINGERPRINT_FORMAT = "sst-corpus-fingerprint/2"
+
+#: Keys per batched read statement: four bound parameters each, well
+#: under sqlite's historical 999-parameter limit.
+_PROBE_CHUNK = 200
+
+
+@functools.lru_cache(maxsize=4)
+def _probe_sql(rows: int) -> str:
+    """The batched-read statement for ``rows`` probe keys.
+
+    Probe row ``i`` carries its chunk-local position as a literal, so
+    every full chunk shares one statement text (and sqlite's statement
+    cache) and results map back to keys without re-hashing them.
+    """
+    probes = ",".join(f"({i},?,?,?,?)" for i in range(rows))
+    return (f"WITH probe(i, a, b, c, d) AS (VALUES {probes})"
+            " SELECT probe.i, s.value FROM probe CROSS JOIN similarity AS s"
+            f" ON s.schema_version={_SCHEMA_VERSION}"
+            " AND s.fingerprint=? AND s.measure=?"
+            " AND s.first_ontology=probe.a AND s.first_concept=probe.b"
+            " AND s.second_ontology=probe.c AND s.second_concept=probe.d")
 
 
 def default_cache_directory() -> Path:
@@ -348,6 +377,46 @@ class DiskCache:
         self.breaker.record_success()
         return row[0] if row is not None else None
 
+    def get_many(self, fingerprint: str, measure: str,
+                 keys: Iterable[tuple[str, str, str, str]],
+                 ) -> dict[tuple[str, str, str, str], float]:
+        """The stored scores of many canonicalized pairs at once.
+
+        ``keys`` are ``(first ontology, first concept, second ontology,
+        second concept)`` tuples; the result maps each key that has a
+        row to its score (misses are simply absent).  One statement
+        per chunk of :data:`_PROBE_CHUNK` keys joins the probe rows
+        against the primary key; the ``CROSS JOIN`` pins the probe as
+        the outer loop, so each probe costs one index search however
+        large the table grows.  Same fail-open contract as :meth:`get`:
+        any error reads as all misses.
+        """
+        keys = list(keys)
+        if not keys:
+            return {}
+        if not self.breaker.allow():
+            telemetry.count("cache.l2.failopen")
+            return {}
+        found: dict[tuple[str, str, str, str], float] = {}
+        with self._lock:
+            try:
+                connection = self._connect()
+                for start in range(0, len(keys), _PROBE_CHUNK):
+                    chunk = keys[start:start + _PROBE_CHUNK]
+                    parameters = list(chain.from_iterable(chunk))
+                    parameters += (fingerprint, measure)
+                    for index, value in connection.execute(
+                            _probe_sql(len(chunk)), parameters):
+                        found[chunk[index]] = value
+            except sqlite3.DatabaseError:
+                self._heal()  # quarantine now; next access rebuilds
+                return {}
+            except (SSTCoreError, sqlite3.Error):
+                self.breaker.record_failure()
+                return {}  # a broken cache must never break scoring
+        self.breaker.record_success()
+        return found
+
     # -- writes -------------------------------------------------------------------
 
     def put(self, fingerprint: str, measure: str,
@@ -374,7 +443,11 @@ class DiskCache:
 
     def put_many(self, rows: Iterable[tuple[str, str, str, str, str, str,
                                             float]]) -> None:
-        """Buffer many ``(fingerprint, measure, pair..., value)`` rows."""
+        """Buffer many ``(fingerprint, measure, pair..., value)`` rows.
+
+        The tuples are buffered and flushed as given, so callers build
+        each row once.
+        """
         if self.read_only or os.getpid() != self._owner_pid:
             return
         with self._lock:
@@ -406,16 +479,17 @@ class DiskCache:
         with telemetry.span("diskcache.flush"), self._lock:
             if not self._pending:
                 return 0
-            rows = [(_SCHEMA_VERSION, *row) for row in self._pending]
-            self._pending = []
+            rows, self._pending = self._pending, []
             try:
                 connection = self._connect()
+                # Buffered rows go in as built: the schema version is a
+                # literal, not a column prepended to every row.
                 connection.executemany(
                     "INSERT OR REPLACE INTO similarity VALUES"
-                    " (?, ?, ?, ?, ?, ?, ?, ?)", rows)
+                    f" ({_SCHEMA_VERSION}, ?, ?, ?, ?, ?, ?, ?)", rows)
                 # Mark every flushed fingerprint as most recently
                 # written, all with the same fresh generation.
-                touched = sorted({row[1] for row in rows})
+                touched = sorted(set(map(itemgetter(0), rows)))
                 (generation,) = connection.execute(
                     "SELECT COALESCE(MAX(generation), 0)"
                     " FROM fingerprint_meta WHERE schema_version=?",

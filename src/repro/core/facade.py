@@ -505,8 +505,13 @@ class SOQASimPackToolkit:
             root = QualifiedConcept(subtree_ontology_name or "",
                                     subtree_root_concept_name)
             candidates = self.tree.subtree_concepts(root)
+        # Plain string compares: a dataclass ``!=`` per candidate costs
+        # a Python-level call on every concept of a large corpus.
+        ontology_name, concept_name = (exclude.ontology_name,
+                                       exclude.concept_name)
         return [candidate for candidate in candidates
-                if candidate != exclude]
+                if candidate.concept_name != concept_name
+                or candidate.ontology_name != ontology_name]
 
     def get_most_similar_concepts(self, concept_name: str,
                                   concept_ontology_name: str,

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import os
 import zlib
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -69,11 +71,11 @@ class ShardedDiskCache:
 
     Implements the same surface :class:`~repro.core.cache.CachedRunner`
     and the parallel engine use on a single ``DiskCache`` — ``get`` /
-    ``put`` / ``put_many`` / ``flush`` / ``close`` / ``clear`` /
-    ``stats`` / ``read_only`` — plus directory-wide ``compact`` and
-    size-bounded ``prune``.  Pickling (for process-strategy worker
-    initargs) delegates to the shards, which reconnect lazily per
-    process.
+    ``get_many`` / ``put`` / ``put_many`` / ``flush`` / ``close`` /
+    ``clear`` / ``stats`` / ``read_only`` — plus directory-wide
+    ``compact`` and size-bounded ``prune``.  Pickling (for
+    process-strategy worker initargs) delegates to the shards, which
+    reconnect lazily per process.
     """
 
     def __init__(self, directory: str | Path | None = None,
@@ -120,6 +122,11 @@ class ShardedDiskCache:
             fingerprint, measure, first_ontology, first_concept,
             second_ontology, second_concept)
 
+    def get_many(self, fingerprint: str, measure: str,
+                 keys: Iterable[tuple[str, str, str, str]],
+                 ) -> dict[tuple[str, str, str, str], float]:
+        return self.shard_for(fingerprint).get_many(fingerprint, measure, keys)
+
     def put(self, fingerprint: str, measure: str,
             first_ontology: str, first_concept: str,
             second_ontology: str, second_concept: str,
@@ -130,12 +137,10 @@ class ShardedDiskCache:
 
     def put_many(self, rows: Iterable[tuple[str, str, str, str, str, str,
                                             float]]) -> None:
-        grouped: dict[int, list] = {}
-        for row in rows:
-            index = zlib.crc32(row[0].encode()) % self.shard_count
-            grouped.setdefault(index, []).append(row)
-        for index, shard_rows in grouped.items():
-            self.shards[index].put_many(shard_rows)
+        # Routed once per run of rows sharing a fingerprint (a cache's
+        # whole batch is one run), not once per row.
+        for fingerprint, run in groupby(rows, key=itemgetter(0)):
+            self.shard_for(fingerprint).put_many(run)
 
     def flush(self) -> int:
         return sum(shard.flush() for shard in self.shards)

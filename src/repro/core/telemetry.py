@@ -32,11 +32,13 @@ import json
 import os
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping
 
 __all__ = [
     "DEFAULT_BUCKETS",
+    "MAX_RETAINED_ROOTS",
     "TELEMETRY_ENV",
     "Counter",
     "Gauge",
@@ -67,6 +69,11 @@ DEFAULT_BUCKETS = (0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5,
                    1.0, 5.0, 10.0, 60.0)
 
 _OFF_VALUES = frozenset({"off", "0", "false", "no"})
+
+#: Finished root spans a :class:`Tracer` retains; past this the oldest
+#: are dropped.  A CLI run (``sst trace``) nests under one root, while a
+#: long-lived ``sst serve`` adds a root per request that nothing drains.
+MAX_RETAINED_ROOTS = 1024
 
 
 def _env_enabled() -> bool:
@@ -513,13 +520,14 @@ class Tracer:
     span.  A span with no parent becomes a *root* and is appended to
     :attr:`roots` when it closes; the parallel engine passes an
     explicit ``parent`` so worker-thread spans graft into the main
-    thread's tree instead of dangling as extra roots.
+    thread's tree instead of dangling as extra roots.  At most
+    :data:`MAX_RETAINED_ROOTS` finished roots are kept, newest last.
     """
 
     def __init__(self):
         self._local = threading.local()
         self._lock = threading.Lock()
-        self.roots: list[Span] = []
+        self.roots: deque[Span] = deque(maxlen=MAX_RETAINED_ROOTS)
 
     def _stack(self) -> list[Span]:
         stack = getattr(self._local, "stack", None)
@@ -568,12 +576,13 @@ class Tracer:
     def drain(self) -> list[Span]:
         """Remove and return all finished root spans."""
         with self._lock:
-            roots, self.roots = self.roots, []
+            roots = list(self.roots)
+            self.roots.clear()
         return roots
 
     def clear(self) -> None:
         with self._lock:
-            self.roots = []
+            self.roots.clear()
         self._local = threading.local()
 
 

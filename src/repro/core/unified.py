@@ -49,8 +49,10 @@ class UnifiedTree:
                 f"{SUPER_THING!r} or {MERGED_THING!r}")
         self.soqa = soqa
         self.strategy = strategy
-        self._virtual_roots: dict[str, str] = {}
+        #: The global root plus every virtual per-ontology root.
+        self._virtual_nodes: set[str] = {self.root}
         self.taxonomy = self._build()
+        self._concepts: list[QualifiedConcept] | None = None
 
     # -- construction -----------------------------------------------------------
 
@@ -69,7 +71,7 @@ class UnifiedTree:
                 # level — matching the paper's owl:Thing-per-ontology
                 # picture.
                 virtual = self.key(ontology.name, "Thing")
-                self._virtual_roots[ontology.name] = virtual
+                self._virtual_nodes.add(virtual)
                 parents[virtual] = [SUPER_THING_NODE]
                 root_parent = [virtual]
             else:
@@ -115,8 +117,7 @@ class UnifiedTree:
 
     def is_virtual(self, node: str) -> bool:
         """Whether ``node`` is the global root or a virtual per-ontology one."""
-        return (node == self.root
-                or node in self._virtual_roots.values())
+        return node in self._virtual_nodes
 
     def concept_of(self, node: str) -> QualifiedConcept | None:
         """The qualified concept a node stands for (None for virtual nodes)."""
@@ -128,13 +129,19 @@ class UnifiedTree:
     # -- concept enumeration ----------------------------------------------------------
 
     def all_concepts(self) -> list[QualifiedConcept]:
-        """Every real (non-virtual) concept in the unified tree."""
-        concepts = []
-        for node in self.taxonomy.nodes():
-            concept = self.concept_of(node)
-            if concept is not None:
-                concepts.append(concept)
-        return concepts
+        """Every real (non-virtual) concept in the unified tree.
+
+        Built once per tree (the facade builds a new tree on
+        ``refresh()``); each call returns a fresh copy.
+        """
+        if self._concepts is None:
+            concepts = []
+            for node in self.taxonomy.nodes():
+                concept = self.concept_of(node)
+                if concept is not None:
+                    concepts.append(concept)
+            self._concepts = concepts
+        return list(self._concepts)
 
     def subtree_concepts(self, root: QualifiedConcept,
                          include_root: bool = True,

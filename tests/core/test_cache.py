@@ -5,7 +5,10 @@ import threading
 
 import pytest
 
+from repro.core import kernel, telemetry
 from repro.core.cache import CachedRunner
+from repro.core.diskcache import DiskCache
+from repro.core.facade import SOQASimPackToolkit
 from repro.core.registry import Measure
 from repro.core.results import QualifiedConcept
 from repro.errors import SSTCoreError
@@ -13,6 +16,8 @@ from repro.errors import SSTCoreError
 PROFESSOR = QualifiedConcept("univ", "Professor")
 STUDENT = QualifiedConcept("univ", "Student")
 EMPLOYEE = QualifiedConcept("univ", "Employee")
+PERSON = QualifiedConcept("univ", "Person")
+COURSE = QualifiedConcept("univ", "Course")
 
 
 @pytest.fixture
@@ -115,6 +120,66 @@ class TestCaching:
                                          "univ", "cached-path")
         assert first == second
         assert mini_sst.runner(measure_id).hits >= 1
+
+
+class TestBulkCounterParity:
+    """The batch path books exactly what the per-pair ``run`` loop does."""
+
+    COUNTERS = ("cache.l1.hits", "cache.l1.misses", "cache.l1.stores",
+                "cache.l2.hits", "cache.l2.misses", "cache.l2.stores")
+
+    def _runner(self, inner, directory) -> CachedRunner:
+        l2 = DiskCache(directory)
+        cached = CachedRunner(inner, l2=l2, fingerprint="fp")
+        # L2-only rows: stored on disk but absent from the L1.
+        l2.put_many(("fp", cached.name, *CachedRunner._l2_columns(key),
+                     inner.run(*key))
+                    for key in (cached.cache_key(PROFESSOR, EMPLOYEE),
+                                cached.cache_key(STUDENT, COURSE)))
+        l2.flush()
+        # An L1-resident entry, seeded without touching any counter.
+        key = cached.cache_key(PROFESSOR, STUDENT)
+        with cached._lock:
+            cached._table[key] = inner.run(*key)
+        return cached
+
+    def _books(self, cached) -> dict:
+        registry = telemetry.get_registry()
+        return {"hits": cached.hits, "misses": cached.misses,
+                "l2_hits": cached.l2_hits, "l2_misses": cached.l2_misses,
+                **{name: registry.value(name) for name in self.COUNTERS}}
+
+    def test_mixed_batch_matches_per_pair_loop(self, mini_soqa, tmp_path):
+        inner = SOQASimPackToolkit(mini_soqa, cache=False).runner(
+            Measure.SHORTEST_PATH)
+        pairs = [
+            (PROFESSOR, STUDENT),    # L1 hit
+            (EMPLOYEE, PROFESSOR),   # L2 hit (mirrored key)
+            (PERSON, COURSE),        # miss
+            (STUDENT, COURSE),       # L2 hit
+            (COURSE, PERSON),        # duplicate of a miss, mirrored
+            (PROFESSOR, EMPLOYEE),   # duplicate of an L2 hit
+            (STUDENT, PROFESSOR),    # L1 hit again, mirrored
+            (PERSON, EMPLOYEE),      # miss
+            (PERSON, COURSE),        # duplicate of a miss
+        ]
+
+        sequential = self._runner(inner, tmp_path / "sequential")
+        telemetry.reset()
+        expected = [sequential.run(first, second) for first, second in pairs]
+        per_pair = self._books(sequential)
+
+        batched = self._runner(inner, tmp_path / "batched")
+        telemetry.reset()
+        assert kernel.try_batch(batched, pairs) == expected
+        assert self._books(batched) == per_pair
+        assert per_pair == {
+            "hits": 5, "misses": 4, "l2_hits": 2, "l2_misses": 2,
+            "cache.l1.hits": 5, "cache.l1.misses": 4,
+            "cache.l1.stores": 4, "cache.l2.hits": 2,
+            "cache.l2.misses": 2, "cache.l2.stores": 2}
+        # Both paths leave the same L1 behind.
+        assert dict(batched._table) == dict(sequential._table)
 
 
 class TestThreadSafety:

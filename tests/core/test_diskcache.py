@@ -1,11 +1,13 @@
 """Tests for the persistent L2 similarity cache and its facade wiring."""
 
+import json
+import os
 import pickle
 import sqlite3
 
 import pytest
 
-from repro.core import telemetry
+from repro.core import diskcache, telemetry
 from repro.core.cache import CachedRunner
 from repro.core.diskcache import DiskCache, corpus_fingerprint
 from repro.core.facade import SOQASimPackToolkit
@@ -178,6 +180,164 @@ class TestSelfHealing:
         clone = pickle.loads(pickle.dumps(cache))
         assert clone.breaker.state == clone.breaker.CLOSED
         assert clone.quarantined == 0
+
+
+def _keys(count: int, prefix: str = "c") -> list[tuple[str, str, str, str]]:
+    return [("o1", f"{prefix}{i}", "o2", f"{prefix}{i + 1}")
+            for i in range(count)]
+
+
+def _store(cache: DiskCache, fingerprint: str, measure: str, keys,
+           base: float = 0.0) -> None:
+    cache.put_many((fingerprint, measure, *key, base + index / 1000)
+                   for index, key in enumerate(keys))
+    cache.flush()
+
+
+def _per_key(cache: DiskCache, fingerprint: str, measure: str, keys) -> dict:
+    found = {}
+    for key in keys:
+        value = cache.get(fingerprint, measure, *key)
+        if value is not None:
+            found[key] = value
+    return found
+
+
+class TestGetMany:
+    def test_parity_with_per_key_get(self, cache):
+        stored = _keys(30)
+        _store(cache, "fp", "m", stored[::2])
+        # Same pairs under another fingerprint and another measure must
+        # never leak into the answer.
+        _store(cache, "fp-other", "m", stored, base=5.0)
+        _store(cache, "fp", "m-other", stored, base=9.0)
+        probe = stored + _keys(5, prefix="missing")
+        batched = cache.get_many("fp", "m", probe)
+        assert batched == _per_key(cache, "fp", "m", probe)
+        assert len(batched) == 15
+        assert cache.get_many("fp", "m-other", probe) \
+            == _per_key(cache, "fp", "m-other", probe)
+        assert cache.get_many("fp-unknown", "m", probe) == {}
+
+    @pytest.mark.parametrize("count", [
+        0, 1, diskcache._PROBE_CHUNK, diskcache._PROBE_CHUNK + 1])
+    def test_chunk_edges(self, cache, count):
+        # Four parameters per probe row plus two per statement must fit
+        # sqlite's historical host-parameter limit.
+        assert diskcache._PROBE_CHUNK * 4 + 2 <= 999
+        # Exactly ``count`` probes, every other one a miss.
+        keys = _keys(count)
+        _store(cache, "fp", "m", keys[::2])
+        batched = cache.get_many("fp", "m", keys)
+        assert batched == _per_key(cache, "fp", "m", keys)
+        assert len(batched) == (count + 1) // 2
+
+    def test_awkward_names(self, cache):
+        keys = [("ont:with:colons", "it's \"quoted\"", "o2", "b"),
+                ("Ontologie", "Begriff:Ä", "日本語", "概念"),
+                ("o", "a'); DROP TABLE similarity; --", "o", "z"),
+                ("", "", "o", "?")]
+        _store(cache, "fp", "m", keys)
+        assert cache.get_many("fp", "m", keys) \
+            == _per_key(cache, "fp", "m", keys)
+        assert len(cache.get_many("fp", "m", keys)) == len(keys)
+
+    def test_duplicate_keys_answer_once(self, cache):
+        keys = _keys(3)
+        _store(cache, "fp", "m", keys)
+        assert cache.get_many("fp", "m", keys + keys) \
+            == _per_key(cache, "fp", "m", keys)
+
+    def test_breaker_open_fails_open(self, cache):
+        keys = _keys(4)
+        _store(cache, "fp", "m", keys)
+        for _ in range(cache.breaker.failure_threshold):
+            cache.breaker.record_failure()
+        assert cache.breaker.state == cache.breaker.OPEN
+        telemetry.reset()
+        assert cache.get_many("fp", "m", keys) == {}
+        assert telemetry.get_registry().value("cache.l2.failopen") == 1
+
+    def test_corrupt_file_on_open_is_quarantined(self, cache):
+        keys = _keys(4)
+        _store(cache, "fp", "m", keys)
+        cache.close()
+        cache.path.write_bytes(b"torn write garbage\0" * 16)
+        telemetry.reset()
+        assert cache.get_many("fp", "m", keys) == {}
+        assert cache.quarantined == 1
+        assert telemetry.get_registry().value("cache.l2.quarantined") == 1
+
+    def test_midrun_corruption_heals_on_next_access(self, cache):
+        keys = _keys(4)
+        _store(cache, "fp", "m", keys)
+
+        class Broken:
+            def execute(self, *args):
+                raise sqlite3.DatabaseError("database disk image is "
+                                            "malformed")
+
+            def close(self):
+                pass
+
+        cache._connection = Broken()
+        assert cache.get_many("fp", "m", keys) == {}
+        assert cache.quarantined == 1
+        assert cache._connection is None
+        assert len(list(cache.directory.glob("*.corrupt-*"))) == 1
+        # The next access rebuilds a fresh, working database.
+        _store(cache, "fp", "m", keys[:2], base=0.5)
+        assert cache.get_many("fp", "m", keys) \
+            == {keys[0]: 0.5, keys[1]: 0.501}
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_reads_from_forked_child(self, cache):
+        keys = _keys(5)
+        _store(cache, "fp", "m", keys)
+        expected = cache.get_many("fp", "m", keys)  # parent connection open
+        reader, writer = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            code = 1
+            try:
+                found = cache.get_many("fp", "m", keys)
+                payload = json.dumps(sorted(
+                    [list(key), value] for key, value in found.items()))
+                os.write(writer, payload.encode())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(writer)
+        with os.fdopen(reader, "rb") as handle:
+            payload = handle.read()
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+        child = {tuple(key): value for key, value in json.loads(payload)}
+        assert child == expected
+        # The parent's own connection still serves after the fork.
+        assert cache.get_many("fp", "m", keys) == expected
+
+    def test_query_plan_probes_the_primary_key(self, cache):
+        # A planner that scans ``similarity`` instead (an unforced join
+        # did, at 20k keys: 53 s) must fail here, not in production.
+        keys = _keys(300)
+        _store(cache, "fp", "m", keys)
+        connection = cache._connect()
+        connection.execute("ANALYZE")
+        rows = 3
+        parameters = ["x"] * (4 * rows) + ["fp", "m"]
+        plan = [row[3] for row in connection.execute(
+            "EXPLAIN QUERY PLAN " + diskcache._probe_sql(rows), parameters)]
+        scans = [step for step in plan if step.startswith("SCAN")]
+        assert any(step.startswith("SCAN probe") for step in scans)
+        assert not any("similarity" in step or step.startswith("SCAN s")
+                       for step in scans)
+        searches = [step for step in plan if step.startswith("SEARCH s ")]
+        assert len(searches) == 1
+        assert searches[0].endswith(
+            "(schema_version=? AND fingerprint=? AND measure=?"
+            " AND first_ontology=? AND first_concept=?"
+            " AND second_ontology=? AND second_concept=?)")
 
 
 class TestCorpusFingerprint:

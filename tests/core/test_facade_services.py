@@ -107,6 +107,24 @@ class TestS2MostSimilar:
             "Professor", "univ", k=1000, measure=Measure.SHORTEST_PATH)
         assert len(results) == mini_sst.concept_count() - 1
 
+    def test_candidate_list_is_reused_per_anchor_and_refreshed(self,
+                                                               mini_sst):
+        def ranked(concept_name):
+            return {(entry.ontology_name, entry.concept_name)
+                    for entry in mini_sst.get_most_similar_concepts(
+                        concept_name, "univ", k=1000,
+                        measure=Measure.SHORTEST_PATH)}
+
+        professor, student = ranked("Professor"), ranked("Student")
+        assert ("univ", "Professor") not in professor
+        assert ("univ", "Student") in professor
+        assert ("univ", "Professor") in student
+        assert ("univ", "Student") not in student
+        mini_sst.load_ontology_text(MINI_ORNITHOLOGY_OWL, "birds", "OWL")
+        refreshed = ranked("Professor")
+        assert len(refreshed) == mini_sst.concept_count() - 1
+        assert ("birds", "Blackbird") in refreshed
+
     def test_most_dissimilar_sorted_ascending(self, mini_sst):
         results = mini_sst.get_most_dissimilar_concepts(
             "Professor", "univ", k=5, measure=Measure.SHORTEST_PATH)

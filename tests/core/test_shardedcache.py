@@ -84,6 +84,15 @@ class TestRouting:
             zlib.crc32(fp.encode()) % cache.shard_count
             for fp in (FP_A, FP_B)})
 
+    def test_get_many_reads_the_routed_shard(self, cache):
+        rows = [row(FP_A, f"a{i}", i / 10) for i in range(3)]
+        cache.put_many(rows)
+        cache.flush()
+        keys = [item[2:6] for item in rows] + [("ont", "z", "ont", "z")]
+        assert cache.get_many(FP_A, "Lin", keys) \
+            == {item[2:6]: item[6] for item in rows}
+        assert cache.get_many(FP_B, "Lin", keys) == {}
+
     def test_one_shard_config_is_legacy_layout(self, tmp_path):
         sharded = ShardedDiskCache(tmp_path, shards=1)
         sharded.put(*row(FP_A)[:6], 0.25)

@@ -98,6 +98,14 @@ class TestConceptMapping:
         assert all(isinstance(concept, QualifiedConcept)
                    for concept in concepts)
 
+    def test_all_concepts_hands_out_copies(self, two_domain_soqa):
+        tree = UnifiedTree(two_domain_soqa)
+        first = tree.all_concepts()
+        first.clear()
+        assert tree.all_concepts() == UnifiedTree(
+            two_domain_soqa).all_concepts()
+        assert tree.all_concepts() is not tree.all_concepts()
+
     def test_subtree_concepts(self, two_domain_soqa):
         tree = UnifiedTree(two_domain_soqa)
         subtree = tree.subtree_concepts(QualifiedConcept("univ", "Person"))

@@ -23,6 +23,7 @@ import socket
 import threading
 import time
 
+from repro.core import telemetry
 from repro.core.lifecycle import DEGRADED, DRAINING, READY
 from repro.core.registry import Measure
 from repro.core.resilience import injected_faults
@@ -171,6 +172,24 @@ class TestKeepAlive:
                 status, _, _ = read_response(first)
                 assert status == 200
             assert counter("server.rejected.connections") >= 1
+
+
+class TestSpanRetention:
+    def test_tracer_roots_stay_bounded_over_thousands_of_requests(self):
+        tracer = telemetry.get_tracer()
+        tracer.clear()
+        requests = 2 * telemetry.MAX_RETAINED_ROOTS + 500
+        config = ServerConfig(port=0, max_requests_per_connection=requests)
+        with serve_in_thread(toolkit(), config) as handle:
+            with socket.create_connection((handle.host, handle.port),
+                                          timeout=10.0) as sock:
+                for _ in range(requests):
+                    sock.sendall(pair_request())
+                    status, _, _ = read_response(sock)
+                    assert status == 200
+        # Every request finished a root span; only the newest are kept.
+        assert len(tracer.roots) == telemetry.MAX_RETAINED_ROOTS
+        assert tracer.roots[-1].name == "server.request"
 
 
 class TestSlowClientDefense:
