@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from repro.browser.shell import run_browser
 from repro.core.facade import SOQASimPackToolkit
@@ -285,10 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument("action",
                        choices=("stats", "clear", "path", "compact",
                                 "prune"),
-                       help="stats: per-shard entry counts and sizes; "
-                            "clear: drop all stored scores; path: print "
-                            "the cache directory; compact: checkpoint "
-                            "and VACUUM every shard; prune: evict "
+                       help="stats: entry counts and size of the "
+                            "cache file; clear: drop all stored scores; "
+                            "path: print the cache directory; compact: "
+                            "checkpoint and VACUUM the file; prune: evict "
                             "least-recently-written corpora until the "
                             "cache fits --max-bytes")
     cache.add_argument("--max-bytes", type=int, default=None,
@@ -811,37 +810,28 @@ def _run_observed(arguments: argparse.Namespace) -> int:
 
 def _run_cache(arguments: argparse.Namespace) -> int:
     """The ``sst cache`` subcommand: stats / clear / path / compact /
-    prune over the sharded L2."""
+    prune over the L2 file in the cache directory."""
     import json
 
-    from repro.core.shardedcache import ShardedDiskCache
+    from repro.core.diskcache import DiskCache
 
-    cache = ShardedDiskCache(arguments.cache_dir)
+    cache = DiskCache(arguments.cache_dir)
     if arguments.action == "path":
-        print(cache.path)
+        print(cache.directory)
     elif arguments.action == "stats":
         statistics = cache.stats()
         if arguments.output_format == "json":
             print(json.dumps(statistics, indent=2))
         else:
-            per_shard = statistics.pop("per_shard")
             rows = [[key, str(value)]
                     for key, value in statistics.items()]
             print(render_table(["key", "value"], rows))
-            shard_rows = [
-                [str(index), Path(shard["path"]).name,
-                 str(shard["entries"]), str(shard["fingerprints"]),
-                 str(shard["size_bytes"])]
-                for index, shard in enumerate(per_shard)]
-            print(render_table(
-                ["shard", "file", "entries", "fingerprints",
-                 "size_bytes"], shard_rows))
     elif arguments.action == "clear":
         removed = cache.clear()
-        print(f"removed {removed} cached scores from {cache.path}")
+        print(f"removed {removed} cached scores from {cache.directory}")
     elif arguments.action == "compact":
         result = cache.compact()
-        print(f"compacted {cache.shard_count} shard(s): "
+        print(f"compacted {cache.path}: "
               f"{result['before_bytes']} -> {result['after_bytes']} bytes")
     elif arguments.action == "prune":
         if arguments.max_bytes is None:

@@ -10,6 +10,11 @@ strategy, so editing any ontology (or switching strategies) invalidates
 its entries without touching the others — stale rows are simply never
 read again and can be dropped with ``sst cache clear``.
 
+The L2 is one file, ``<cache dir>/similarity-cache.sqlite``.  Every
+query of a facade runs over one unified tree, so a CLI run or ``sst
+serve`` process reads and writes a single corpus fingerprint; all
+corpora share the file, and ``compact``/``prune`` keep it bounded.
+
 Concurrency: one connection per process (re-opened lazily after a
 ``fork``), WAL journaling so parallel CLI runs can share the file, and
 buffered writes flushed in batches.  Forked process-strategy workers
@@ -143,14 +148,10 @@ class DiskCache:
     their merged deltas).
     """
 
-    def __init__(self, directory: str | Path | None = None,
-                 filename: str | None = None):
+    def __init__(self, directory: str | Path | None = None):
         self.directory = (Path(directory).expanduser() if directory is not None
                           else default_cache_directory())
-        # ``filename`` lets ShardedDiskCache run one DiskCache per
-        # shard file; the default keeps the historical single-file name
-        # (which doubles as shard 0, so old caches stay warm).
-        self.path = self.directory / (filename or "similarity-cache.sqlite")
+        self.path = self.directory / "similarity-cache.sqlite"
         self._lock = threading.Lock()
         self._connection: sqlite3.Connection | None = None
         self._owner_pid = os.getpid()
@@ -619,17 +620,22 @@ class DiskCache:
                 "size_bytes": size}
 
     def clear(self, fingerprint: str | None = None) -> int:
-        """Drop all entries (or one fingerprint's); returns rows removed."""
+        """Drop all entries (or one fingerprint's); returns rows removed.
+
+        The matching ``fingerprint_meta`` rows go in the same
+        transaction, so a later :meth:`prune` never picks a fingerprint
+        that no longer has rows.
+        """
         if not self.path.exists():
             return 0
+        where, parameters = ("", ()) if fingerprint is None else (
+            " WHERE fingerprint=?", (fingerprint,))
         with self._lock:
             self._pending = []
             connection = self._connect()
-            if fingerprint is None:
-                cursor = connection.execute("DELETE FROM similarity")
-            else:
-                cursor = connection.execute(
-                    "DELETE FROM similarity WHERE fingerprint=?",
-                    (fingerprint,))
+            cursor = connection.execute(
+                "DELETE FROM similarity" + where, parameters)
+            connection.execute(
+                "DELETE FROM fingerprint_meta" + where, parameters)
             connection.commit()
             return cursor.rowcount

@@ -23,8 +23,8 @@ from typing import Iterable, Sequence
 
 from repro.core import telemetry
 from repro.core.cache import CachedRunner
-from repro.core.diskcache import caching_disabled, corpus_fingerprint
-from repro.core.shardedcache import ShardedDiskCache
+from repro.core.diskcache import (DiskCache, caching_disabled,
+                                  corpus_fingerprint)
 from repro.core.parallel import BatchSimilarityEngine
 from repro.core.registry import Measure, RunnerRegistry, TABLE1_MEASURES
 from repro.core.results import ConceptAndSimilarity, QualifiedConcept
@@ -89,7 +89,7 @@ class SOQASimPackToolkit:
         self._cache_enabled = (not caching_disabled() if cache is None
                                else bool(cache))
         self._cache_dir = cache_dir
-        self._disk_cache: ShardedDiskCache | None = None
+        self._disk_cache: DiskCache | None = None
         self._fingerprint: str | None = None
         self._tree: UnifiedTree | None = None
         self._wrapper: SOQAWrapperForSimPack | None = None
@@ -205,14 +205,13 @@ class SOQASimPackToolkit:
             return self._wrapper
 
     @property
-    def disk_cache(self) -> ShardedDiskCache | None:
+    def disk_cache(self) -> DiskCache | None:
         """The persistent L2 score store, or ``None`` when not configured.
 
         Attached when the facade was given a ``cache_dir`` or the
         ``SST_CACHE_DIR`` environment variable names one (and caching
-        is not disabled).  The store is fingerprint-sharded across
-        ``SST_CACHE_SHARDS`` databases; see
-        :mod:`repro.core.shardedcache`.
+        is not disabled).  The store is the one sqlite file of
+        :mod:`repro.core.diskcache` inside that directory.
         """
         if not self._cache_enabled:
             return None
@@ -224,7 +223,7 @@ class SOQASimPackToolkit:
                 if self._cache_dir is None and not os.environ.get(
                         CACHE_DIR_ENV, "").strip():
                     return None
-                self._disk_cache = ShardedDiskCache(self._cache_dir)
+                self._disk_cache = DiskCache(self._cache_dir)
             return self._disk_cache
 
     def fingerprint(self) -> str:
@@ -280,7 +279,7 @@ class SOQASimPackToolkit:
         }
         if self._disk_cache is not None:
             statistics["l2"] = {
-                "path": str(self._disk_cache.path),
+                "path": str(self._disk_cache.directory),
                 "hits": l2_hits, "misses": l2_misses,
                 "hit_rate": l2_hits / l2_total if l2_total else 0.0,
             }

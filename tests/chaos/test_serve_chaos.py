@@ -4,7 +4,7 @@ The service-level counterpart of ``test_chaos.py``: faults are armed
 via :func:`repro.core.resilience.injected_faults` against a **running**
 server, and the bar is the same — responses bit-identical to a clean
 run, failures typed (504 on deadline, 503 + Retry-After while the
-breaker holds), recovery automatic (quarantined L2 shards, self-healed
+breaker holds), recovery automatic (quarantined L2 files, self-healed
 index artifacts, half-open probes), and everything visible in
 ``/metrics`` instead of a traceback.
 """
@@ -202,7 +202,7 @@ class TestCacheCorruptionChaos:
         quarantined = counter("cache.l2.quarantined")
         with injected_faults("cache.corrupt=1"):
             # A fresh boot over the (scribbled-at-connect) store must
-            # quarantine the shard and recompute the same bytes.
+            # quarantine the L2 file and recompute the same bytes.
             with serve_in_thread(chaos_toolkit(cache=True)) as handle:
                 status, _, body = matrix(client_for(handle))
                 assert status == 200, body
@@ -261,7 +261,7 @@ class TestChaosVisibility:
                 client = client_for(handle)
                 status, _, body = matrix(client)
                 assert status == 504, body
-                # Quotas spent, shard quarantined: service recovers to
+                # Quotas spent, L2 quarantined: service recovers to
                 # the exact clean bytes without a restart.
                 for _ in range(50):
                     status, _, body = matrix(client)

@@ -92,6 +92,116 @@ class TestDiskCache:
         assert cache.flush() == 0
 
 
+FP_A = "a" * 64
+FP_B = "b" * 64
+
+
+def _row(fingerprint: str, concept: str = "x", value: float = 0.5) -> tuple:
+    return (fingerprint, "Lin", "ont", concept, "ont", concept, value)
+
+
+def _rows(fingerprint: str, count: int) -> list[tuple]:
+    return [_row(fingerprint, f"c{i}", i / 100) for i in range(count)]
+
+
+class TestMaintenance:
+    def test_one_file_under_the_historical_name(self, tmp_path):
+        # The name every earlier layout used for its first file, so
+        # caches written before keep serving hits.
+        assert DiskCache(tmp_path).path \
+            == tmp_path / "similarity-cache.sqlite"
+
+    def test_put_many_across_fingerprints_round_trips(self, cache):
+        rows = [_row(FP_A, f"a{i}") for i in range(5)] \
+            + [_row(FP_B, f"b{i}") for i in range(5)]
+        cache.put_many(rows)
+        cache.flush()
+        for item in rows:
+            assert cache.get(*item[:6]) == item[6]
+        assert cache.stats()["fingerprints"] == 2
+
+    def test_get_many_returns_only_the_asked_fingerprint(self, cache):
+        rows = [_row(FP_A, f"a{i}", i / 10) for i in range(3)]
+        cache.put_many(rows + [_row(FP_B, "a0", 0.9)])
+        cache.flush()
+        keys = [item[2:6] for item in rows] + [("ont", "z", "ont", "z")]
+        assert cache.get_many(FP_A, "Lin", keys) \
+            == {item[2:6]: item[6] for item in rows}
+        assert cache.get_many(FP_B, "Lin", keys) == {keys[0]: 0.9}
+
+    def test_stats_counts_the_file(self, cache):
+        cache.put_many(_rows(FP_A, 3))
+        cache.flush()
+        statistics = cache.stats()
+        assert statistics == {
+            "path": str(cache.path), "exists": True, "entries": 3,
+            "fingerprints": 1, "measures": 1,
+            "size_bytes": cache.path.stat().st_size, "pending": 0}
+
+    def test_compact_reports_sizes(self, cache):
+        cache.put_many(_rows(FP_A, 10))
+        cache.flush()
+        result = cache.compact()
+        assert result["path"] == str(cache.path)
+        assert result["before_bytes"] > 0
+        assert result["after_bytes"] > 0
+
+    def test_prune_bounds_the_file_oldest_generation_first(self, cache):
+        fingerprints = [format(i, "064x") for i in range(6)]
+        # Written newest-name-first, so eviction order cannot be the
+        # fingerprint order by accident.
+        for fingerprint in reversed(fingerprints):
+            cache.put_many(_rows(fingerprint, 50))
+            cache.flush()  # one generation per corpus
+        cache.compact()  # checkpoint the WAL so size_bytes is real
+        budget = cache.stats()["size_bytes"] // 2
+        result = cache.prune(budget)
+        evicted = result["removed_fingerprints"]
+        assert 1 <= evicted < len(fingerprints)
+        assert result["removed_rows"] == 50 * evicted
+        assert result["size_bytes"] <= budget
+        oldest_first = list(reversed(fingerprints))
+        for fingerprint in oldest_first[:evicted]:
+            assert cache.get(fingerprint, "Lin", "ont", "c1",
+                             "ont", "c1") is None
+        for fingerprint in oldest_first[evicted:]:
+            assert cache.get(fingerprint, "Lin", "ont", "c1",
+                             "ont", "c1") == 0.01
+
+    def test_prune_noop_under_budget(self, cache):
+        cache.put(*_row(FP_A)[:6], 0.5)
+        cache.flush()
+        result = cache.prune(10 ** 9)
+        assert result["removed_rows"] == 0
+        assert result["removed_fingerprints"] == 0
+        assert cache.get(*_row(FP_A)[:6]) == 0.5
+
+    @pytest.mark.parametrize("scope", [None, FP_A], ids=["all", "one"])
+    def test_clear_forgets_fingerprint_meta(self, cache, scope):
+        # A cleared fingerprint must not linger as a prune victim: a
+        # prune to nothing removes exactly the one corpus with rows.
+        cache.put_many(_rows(FP_A, 50))
+        cache.flush()
+        if scope is None:
+            cache.clear()
+        cache.put_many(_rows(FP_B, 50))
+        cache.flush()
+        if scope is not None:
+            cache.clear(scope)
+        result = cache.prune(0)
+        assert result["removed_fingerprints"] == 1
+        assert result["removed_rows"] == 50
+
+    def test_read_only_drops_writes(self, cache):
+        cache.read_only = True
+        cache.put(*_row(FP_A)[:6], 0.5)
+        cache.put_many(_rows(FP_A, 3))
+        assert cache.flush() == 0
+        cache.read_only = False
+        assert cache.get(*_row(FP_A)[:6]) is None
+        assert cache.stats()["entries"] == 0
+
+
 class TestSelfHealing:
     def _corrupt(self, cache: DiskCache) -> None:
         cache.directory.mkdir(parents=True, exist_ok=True)

@@ -22,8 +22,8 @@ def cache_dir(tmp_path, monkeypatch) -> str:
 
 class TestCacheSubcommand:
     def test_path(self, capsys, cache_dir):
-        # Since sharding, the user-facing L2 location is the directory
-        # (shard files live inside it).
+        # The user-facing L2 location is the directory (the sqlite
+        # file lives inside it).
         assert main(["cache", "path"]) == 0
         out = capsys.readouterr().out
         assert cache_dir in out
@@ -39,6 +39,9 @@ class TestCacheSubcommand:
         assert main(["cache", "stats", "--format", "json"]) == 0
         statistics = json.loads(capsys.readouterr().out)
         assert statistics["exists"] is False
+        assert set(statistics) == {"path", "exists", "entries",
+                                   "fingerprints", "measures",
+                                   "size_bytes", "pending"}
 
     def test_clear(self, capsys, cache_dir):
         assert main(["cache", "clear"]) == 0

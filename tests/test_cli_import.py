@@ -106,7 +106,9 @@ class TestIndexProvenanceReport:
 class TestCacheMaintenanceCommands:
     def test_compact(self, capsys, cache_dir):
         assert main(["cache", "compact"]) == 0
-        assert "compacted" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "compacted" in out
+        assert "similarity-cache.sqlite" in out
 
     def test_prune_requires_budget(self, capsys, cache_dir):
         assert main(["cache", "prune"]) == 2
@@ -116,8 +118,8 @@ class TestCacheMaintenanceCommands:
         assert main(["cache", "prune", "--max-bytes", "1000000"]) == 0
         assert "pruned" in capsys.readouterr().out
 
-    def test_stats_shows_per_shard_table(self, capsys, cache_dir):
+    def test_stats_names_the_cache_file(self, capsys, cache_dir):
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
-        assert "shards" in out
-        assert "similarity-cache.sqlite" in out  # shard 0 legacy name
+        assert "similarity-cache.sqlite" in out
+        assert "shard" not in out

@@ -141,7 +141,7 @@ class TestCacheReport:
         warm = capsys.readouterr().err
         assert (f"disk cache: {MATRIX_PAIRS}/{MATRIX_PAIRS} hits (100.0%)"
                 in warm)
-        # The report names the cache directory (shard files live inside).
+        # The report names the cache directory (the L2 file lives inside).
         assert "telemetry-cache" in warm
 
     def test_silent_under_kill_switch(self, capsys, owl_file, cache_dir,
