@@ -883,6 +883,42 @@ def _full_materialization(rule, context: CodeContext):
 # ---------------------------------------------------------------------------
 
 
+@CODE_RULES.rule("environ-write", "warning", "code")
+def _environ_write(rule, context: CodeContext):
+    """Shared state: library code does not write ``os.environ`` — a
+    write outlives the call that made it, so every later in-process
+    caller (a test, an embedding application) inherits it.
+
+    Pass the value explicitly, or set it for one scope and restore it
+    in a ``finally`` (``repro.cli._scoped_environ``), with a pragma on
+    the write.
+    """
+    hint = ("pass the value explicitly, or scope the write and restore "
+            "it in a finally")
+    for module in context.modules:
+        for node in ast.walk(module.tree):
+            targets: list[ast.AST] = []
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            for target in targets:
+                if isinstance(target, ast.Subscript) and _matches(
+                        module.resolve(target.value) or "",
+                        ("os.environ",)):
+                    yield _code_finding(
+                        rule, module, target,
+                        "assignment to os.environ[...] leaks into every "
+                        "later in-process caller", hint=hint)
+    for module, call, resolved in context.calls():
+        if _matches(resolved, ("os.environ.update", "os.environ.setdefault",
+                               "os.putenv")):
+            yield _code_finding(
+                rule, module, call,
+                f"{resolved}(...) leaks into every later in-process "
+                "caller", hint=hint)
+
+
 @CODE_RULES.rule("mutable-default-argument", "warning", "code")
 def _mutable_default_argument(rule, context: CodeContext):
     """Shared state: a mutable default argument is one hidden object

@@ -29,7 +29,10 @@ By default the five-ontology corpus of the paper is loaded; pass
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import contextmanager
+from typing import Iterator
 
 from repro.browser.shell import run_browser
 from repro.core.facade import SOQASimPackToolkit
@@ -448,31 +451,52 @@ def _run(arguments: argparse.Namespace) -> int:
         return _run_cache(arguments)
     if command == "import":
         return _run_import(arguments)
-    import os
+    with _scoped_environ(_flag_environ(arguments)):
+        sst = _load_toolkit(arguments)
+        try:
+            return _dispatch(sst, arguments)
+        finally:
+            # Persist any scores still buffered for the L2 tier, so the
+            # next invocation over the same corpus warm-starts.
+            sst.flush_caches()
 
-    if arguments.index_threshold is not None:
-        from repro.soqa.graphindex import INDEX_THRESHOLD_ENV
 
-        os.environ[INDEX_THRESHOLD_ENV] = str(arguments.index_threshold)
-    if getattr(arguments, "task_timeout", None) is not None:
-        from repro.core.parallel import TASK_TIMEOUT_ENV
+def _flag_environ(arguments: argparse.Namespace) -> dict[str, str]:
+    """The ``SST_*`` variables that the global flags stand for.
 
-        os.environ[TASK_TIMEOUT_ENV] = str(arguments.task_timeout)
-    if getattr(arguments, "retry_budget", None) is not None:
-        from repro.core.parallel import RETRY_BUDGET_ENV
+    Deep layers (the index threshold, the process supervisor, the batch
+    engine) and forked workers read these from the environment.
+    """
+    from repro.core.kernel import ENGINE_ENV
+    from repro.core.parallel import RETRY_BUDGET_ENV, TASK_TIMEOUT_ENV
+    from repro.soqa.graphindex import INDEX_THRESHOLD_ENV
 
-        os.environ[RETRY_BUDGET_ENV] = str(arguments.retry_budget)
-    if getattr(arguments, "engine", None) is not None:
-        from repro.core.kernel import ENGINE_ENV
+    flags = {INDEX_THRESHOLD_ENV: arguments.index_threshold,
+             TASK_TIMEOUT_ENV: getattr(arguments, "task_timeout", None),
+             RETRY_BUDGET_ENV: getattr(arguments, "retry_budget", None),
+             ENGINE_ENV: getattr(arguments, "engine", None)}
+    return {name: str(value) for name, value in flags.items()
+            if value is not None}
 
-        os.environ[ENGINE_ENV] = arguments.engine
-    sst = _load_toolkit(arguments)
+
+@contextmanager
+def _scoped_environ(values: dict[str, str]) -> Iterator[None]:
+    """Set environment variables for one command, then restore them.
+
+    A variable that was unset before is removed again, so an
+    in-process caller of :func:`main` sees its environment unchanged.
+    """
+    saved = {name: os.environ.get(name) for name in values}
     try:
-        return _dispatch(sst, arguments)
+        for name, value in values.items():
+            os.environ[name] = value  # sst: disable=environ-write
+        yield
     finally:
-        # Persist any scores still buffered for the L2 tier, so the
-        # next invocation over the same corpus warm-starts.
-        sst.flush_caches()
+        for name, previous in saved.items():
+            if previous is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = previous  # sst: disable=environ-write
 
 
 def _report_cache(sst: SOQASimPackToolkit) -> None:

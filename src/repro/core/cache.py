@@ -10,9 +10,13 @@ The in-memory memo table is the L1 tier.  An optional
 :class:`~repro.core.diskcache.DiskCache` can be attached as a
 persistent L2: L1 misses fall through to disk (keyed by the corpus
 fingerprint), and fresh scores are written back, so a later process
-over the same corpus warm-starts.  The unordered-pair canonicalization
-of :meth:`CachedRunner.cache_key` is applied *before* either lookup —
-L1 and L2 always agree on the key of a symmetric pair.
+over the same corpus warm-starts.  Both tiers use one flat key: the
+``(first ontology, first concept, second ontology, second concept)``
+string tuple of :meth:`CachedRunner.cache_key`, canonicalized for
+symmetric measures *before* either lookup.  The L1 memo is keyed by
+it, and it is also the L2 row's column tuple, so no tier re-keys a
+pair.  Strings cache their hash, so no lookup runs a Python-level
+``__hash__``.
 
 The batch path is set-at-a-time: :meth:`CachedRunner.bulk_lookup`
 sends every distinct L1 miss of a kernel batch to the L2 in one
@@ -109,24 +113,22 @@ class CachedRunner(MeasureRunner):
         self._lock = threading.RLock()
 
     def _key(self, first: QualifiedConcept,
-             second: QualifiedConcept) -> tuple:
-        if self.symmetric and (second.ontology_name,
-                               second.concept_name) < (
-                                   first.ontology_name,
-                                   first.concept_name):
-            return (second, first)
-        return (first, second)
-
-    def cache_key(self, first: QualifiedConcept,
-                  second: QualifiedConcept) -> tuple:
-        """The (symmetry-normalized) memo key of a concept pair."""
-        return self._key(first, second)
-
-    @staticmethod
-    def _l2_columns(key: tuple) -> tuple[str, str, str, str]:
-        first, second = key
+             second: QualifiedConcept) -> tuple[str, str, str, str]:
+        if self.symmetric and (second.ontology_name, second.concept_name) < (
+                first.ontology_name, first.concept_name):
+            return (second.ontology_name, second.concept_name,
+                    first.ontology_name, first.concept_name)
         return (first.ontology_name, first.concept_name,
                 second.ontology_name, second.concept_name)
+
+    def cache_key(self, first: QualifiedConcept,
+                  second: QualifiedConcept) -> tuple[str, str, str, str]:
+        """The (symmetry-normalized) key of a concept pair.
+
+        ``(first ontology, first concept, second ontology, second
+        concept)``; the same tuple keys the L1 memo and the L2 row.
+        """
+        return self._key(first, second)
 
     def run(self, first: QualifiedConcept,
             second: QualifiedConcept) -> float:
@@ -143,8 +145,7 @@ class CachedRunner(MeasureRunner):
             self.misses += 1
         telemetry.count("cache.l1.misses")
         if self.l2 is not None:
-            stored = self.l2.get(self.fingerprint, self.name,
-                                 *self._l2_columns(key))
+            stored = self.l2.get(self.fingerprint, self.name, *key)
             with self._lock:
                 if stored is not None:
                     self.l2_hits += 1
@@ -167,8 +168,7 @@ class CachedRunner(MeasureRunner):
                 self._table.popitem(last=False)
         telemetry.count("cache.l1.stores")
         if self.l2 is not None:
-            self.l2.put(self.fingerprint, self.name,
-                        *self._l2_columns(key), value)
+            self.l2.put(self.fingerprint, self.name, *key, value)
         return value
 
     def bulk_lookup(self, pairs):
@@ -192,44 +192,43 @@ class CachedRunner(MeasureRunner):
         values: list[float | None] = [None] * len(pairs)
         pending: dict[tuple, list[int]] = {}
         l1_hits = l1_misses = 0
+        key_of = self._key
+        table = self._table
         with self._lock:
             for position, (first, second) in enumerate(pairs):
-                key = self._key(first, second)
-                cached = self._table.get(key)
+                key = key_of(first, second)
+                cached = table.get(key)
                 if cached is not None:
-                    self.hits += 1
                     l1_hits += 1
-                    self._table.move_to_end(key)
+                    table.move_to_end(key)
                     values[position] = cached
                 elif key in pending:
-                    self.hits += 1
                     l1_hits += 1
                     pending[key].append(position)
                 else:
-                    self.misses += 1
                     l1_misses += 1
                     pending[key] = [position]
+            self.hits += l1_hits
+            self.misses += l1_misses
         if l1_hits:
             telemetry.count("cache.l1.hits", l1_hits)
         if l1_misses:
             telemetry.count("cache.l1.misses", l1_misses)
         if self.l2 is not None and pending:
-            # One set-at-a-time L2 read for every distinct missing key.
-            by_columns = {self._l2_columns(key): key for key in pending}
-            stored = self.l2.get_many(self.fingerprint, self.name,
-                                      by_columns)
+            # One set-at-a-time L2 read for every distinct missing key;
+            # the cache key is the L2 column tuple itself.
+            stored = self.l2.get_many(self.fingerprint, self.name, pending)
             l2_hits = len(stored)
-            l2_misses = len(by_columns) - l2_hits
+            l2_misses = len(pending) - l2_hits
             with self._lock:
                 self.l2_hits += l2_hits
                 self.l2_misses += l2_misses
-                for columns, value in stored.items():
-                    key = by_columns[columns]
-                    self._table[key] = value
+                for key, value in stored.items():
+                    table[key] = value
                     for position in pending.pop(key):
                         values[position] = value
-                while len(self._table) > self.capacity:
-                    self._table.popitem(last=False)
+                while len(table) > self.capacity:
+                    table.popitem(last=False)
             if l2_hits:
                 telemetry.count("cache.l2.hits", l2_hits)
                 telemetry.count("cache.l1.stores", l2_hits)
@@ -260,9 +259,7 @@ class CachedRunner(MeasureRunner):
     def _l2_rows(self, entries) -> list[tuple]:
         """The L2 rows of ``(key, value)`` entries, each built once."""
         fingerprint, name = self.fingerprint, self.name
-        return [(fingerprint, name, first.ontology_name, first.concept_name,
-                 second.ontology_name, second.concept_name, value)
-                for (first, second), value in entries]
+        return [(fingerprint, name, *key, value) for key, value in entries]
 
     def merge(self, entries, hits: int = 0, misses: int = 0,
               l2_hits: int = 0, l2_misses: int = 0) -> None:

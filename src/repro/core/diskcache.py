@@ -4,16 +4,22 @@ PR 2 parallelized a single invocation; this module amortizes work
 *across* invocations.  Scores are persisted to a small sqlite database
 keyed by ``(corpus fingerprint, measure name, unordered concept pair)``
 so a second ``sst matrix``/``ksim``/``align`` run over the same corpus
-warm-starts from disk.  The fingerprint is a SHA-256 over the canonical
-meta-model serialization of every loaded ontology plus the tree
-strategy, so editing any ontology (or switching strategies) invalidates
-its entries without touching the others — stale rows are simply never
-read again and can be dropped with ``sst cache clear``.
+warm-starts from disk.  The pair is the flat ``(first ontology, first
+concept, second ontology, second concept)`` string tuple that also keys
+the in-memory L1 (:meth:`~repro.core.cache.CachedRunner.cache_key`).
+The fingerprint is a SHA-256 over the canonical meta-model
+serialization of every loaded ontology plus the tree strategy, so
+editing any ontology (or switching strategies) invalidates its entries
+without touching the others — stale rows are simply never read again
+and can be dropped with ``sst cache clear``.
 
 The L2 is one file, ``<cache dir>/similarity-cache.sqlite``.  Every
 query of a facade runs over one unified tree, so a CLI run or ``sst
 serve`` process reads and writes a single corpus fingerprint; all
 corpora share the file, and ``compact``/``prune`` keep it bounded.
+Schema 2 stores the ``similarity`` rows ``WITHOUT ROWID``: each row
+lives once, in its primary-key b-tree, instead of once in a rowid
+table and again in the key's index.
 
 Concurrency: one connection per process (re-opened lazily after a
 ``fork``), WAL journaling so parallel CLI runs can share the file, and
@@ -28,12 +34,14 @@ chunk of keys, while single-pair lookups keep the one-row
 :meth:`DiskCache.get`.
 
 Self-healing: an L2 problem must never fail a run — at worst it costs
-the warm start.  A corrupt, truncated or schema-mismatched sqlite file
-(``sqlite3.DatabaseError`` on open, a foreign ``PRAGMA user_version``)
-is *quarantined* — renamed to ``similarity-cache.sqlite.corrupt-<n>``
-for post-mortems, counted as ``cache.l2.quarantined`` — and a fresh
-database is built in its place.  Corruption surfacing mid-run heals the
-same way on the next access.  Repeated failures trip a
+the warm start.  A file stamped with an older schema version is
+deleted and rebuilt once, silently: it is outdated, not corrupt.  A
+corrupt, truncated or foreign sqlite file (``sqlite3.DatabaseError`` on
+open, an unknown or newer ``PRAGMA user_version``) is *quarantined* —
+renamed to ``similarity-cache.sqlite.corrupt-<n>`` for post-mortems,
+counted as ``cache.l2.quarantined`` — and a fresh database is built in
+its place.  Corruption surfacing mid-run heals the same way on the
+next access.  Repeated failures trip a
 :class:`~repro.core.resilience.CircuitBreaker` and the cache *fails
 open*: reads miss, writes drop, scores are simply computed without the
 persistent tier (``cache.l2.failopen``) until the breaker's probe
@@ -67,8 +75,9 @@ CACHE_DIR_ENV = "SST_CACHE_DIR"
 #: Environment variable disabling both cache tiers in the CLI.
 NO_CACHE_ENV = "SST_NO_CACHE"
 
-#: Bump to invalidate every existing cache file on format changes.
-_SCHEMA_VERSION = 1
+#: Bump to invalidate every existing cache file on format changes;
+#: files of an older version are rebuilt on first open.
+_SCHEMA_VERSION = 2
 
 #: Buffered writes are flushed automatically past this many rows.
 _FLUSH_THRESHOLD = 256
@@ -133,6 +142,10 @@ def corpus_fingerprint(soqa: "SOQA", strategy: str) -> str:
     return digest.hexdigest()
 
 
+class _OutdatedSchema(Exception):
+    """The cache file carries an older, known schema version."""
+
+
 class DiskCache:
     """Sqlite-backed persistent score store.
 
@@ -172,7 +185,8 @@ class DiskCache:
 
     def _open(self) -> sqlite3.Connection:
         """Open and validate a connection; ``sqlite3.DatabaseError``
-        signals an unusable (corrupt or foreign-schema) file."""
+        signals an unusable (corrupt or foreign-schema) file and
+        :class:`_OutdatedSchema` one written by an older version."""
         connection = sqlite3.connect(str(self.path),
                                      check_same_thread=False,
                                      timeout=30.0)
@@ -183,6 +197,8 @@ class DiskCache:
             # the first query.
             version = connection.execute(
                 "PRAGMA user_version").fetchone()[0]
+            if 0 < version < _SCHEMA_VERSION:
+                raise _OutdatedSchema(version)
             if version not in (0, _SCHEMA_VERSION):
                 raise sqlite3.DatabaseError(
                     f"disk cache schema version {version} does not match "
@@ -204,7 +220,7 @@ class DiskCache:
                 " value REAL NOT NULL,"
                 " PRIMARY KEY (schema_version, fingerprint, measure,"
                 "  first_ontology, first_concept,"
-                "  second_ontology, second_concept))")
+                "  second_ontology, second_concept)) WITHOUT ROWID")
             # Write-recency bookkeeping for size-bounded eviction: a
             # monotonic generation counter (never wall-clock — pruning
             # order must be reproducible) bumped per flushed
@@ -241,22 +257,33 @@ class DiskCache:
                 break
             n += 1
         os.replace(self.path, candidate)
-        for suffix in ("-wal", "-shm"):
-            sidecar = self.path.with_name(self.path.name + suffix)
-            try:
-                sidecar.unlink()
-            except OSError:
-                pass
+        self._drop_sidecars()
         self.quarantined += 1
         telemetry.count("cache.l2.quarantined")
         return candidate
 
+    def _drop_sidecars(self) -> None:
+        for suffix in ("-wal", "-shm"):
+            try:
+                self.path.with_name(self.path.name + suffix).unlink()
+            except OSError:
+                pass
+
+    def _discard_outdated(self) -> None:
+        """Delete a cache file of an older schema so it is rebuilt.
+
+        Its rows cannot be read under the current schema, but it is no
+        evidence of a fault, so nothing is kept or counted.
+        """
+        self.path.unlink(missing_ok=True)
+        self._drop_sidecars()
+
     def _connect(self) -> sqlite3.Connection:
         """The calling process's connection, opened on first use.
 
-        A corrupt or schema-mismatched file is quarantined and rebuilt
-        once; only a failure of the *rebuild* (or plain IO trouble)
-        raises.
+        A corrupt or foreign-schema file is quarantined and rebuilt
+        once, an older-schema file deleted and rebuilt; only a failure
+        of the *rebuild* (or plain IO trouble) raises.
         """
         pid = os.getpid()
         if self._connection is None or pid != self._owner_pid:
@@ -271,6 +298,9 @@ class DiskCache:
             try:
                 self.directory.mkdir(parents=True, exist_ok=True)
                 try:
+                    connection = self._open()
+                except _OutdatedSchema:
+                    self._discard_outdated()
                     connection = self._open()
                 except sqlite3.DatabaseError:
                     self._quarantine()
@@ -296,11 +326,7 @@ class DiskCache:
                 handle.write(b"this is no longer a sqlite database\0" * 8)
         except OSError:
             pass
-        for suffix in ("-wal", "-shm"):
-            try:
-                self.path.with_name(self.path.name + suffix).unlink()
-            except OSError:
-                pass
+        self._drop_sidecars()
 
     def _heal(self) -> None:
         """React to a ``DatabaseError`` on a live connection: drop the

@@ -18,6 +18,7 @@ MeasureRunners; on top it offers the services the paper lists:
 
 from __future__ import annotations
 
+import heapq
 import threading
 from typing import Iterable, Sequence
 
@@ -46,6 +47,25 @@ def _qualify(concept: QualifiedConcept | tuple[str, str]) -> QualifiedConcept:
         return concept
     ontology_name, concept_name = concept
     return QualifiedConcept(ontology_name, concept_name)
+
+
+def _top_k(candidates: Sequence[QualifiedConcept], values: Sequence[float],
+           k: int, best_first: bool) -> list[ConceptAndSimilarity]:
+    """The ``k`` first candidates by score, ties by ontology then name.
+
+    ``best_first`` ranks the highest scores first.  The result is the
+    list that sorting every candidate and slicing ``[:k]`` gives — the
+    ``(score, ontology, concept)`` key is unique per candidate — but a
+    heap selects it and only ``k`` result objects are built.
+    """
+    if k < 0:  # slice semantics: all but the last -k
+        k = max(len(candidates) + k, 0)
+    ranked = heapq.nsmallest(k, (
+        (-value if best_first else value, candidate.ontology_name,
+         candidate.concept_name, value)
+        for candidate, value in zip(candidates, values)))
+    return [ConceptAndSimilarity(concept, ontology, value)
+            for _, ontology, concept, value in ranked]
 
 
 class SOQASimPackToolkit:
@@ -540,13 +560,7 @@ class SOQASimPackToolkit:
                             candidates=len(candidates), k=k):
             values = self.engine(measure, workers, strategy,
                                  engine).score_against(anchor, candidates)
-        scored = [ConceptAndSimilarity(candidate.concept_name,
-                                       candidate.ontology_name, value)
-                  for candidate, value in zip(candidates, values)]
-        scored.sort(key=lambda entry: (-entry.similarity,
-                                       entry.ontology_name,
-                                       entry.concept_name))
-        return scored[:k]
+        return _top_k(candidates, values, k, best_first=True)
 
     def get_most_dissimilar_concepts(self, concept_name: str,
                                      concept_ontology_name: str,
@@ -570,13 +584,7 @@ class SOQASimPackToolkit:
                             candidates=len(candidates), k=k):
             values = self.engine(measure, workers, strategy,
                                  engine).score_against(anchor, candidates)
-        scored = [ConceptAndSimilarity(candidate.concept_name,
-                                       candidate.ontology_name, value)
-                  for candidate, value in zip(candidates, values)]
-        scored.sort(key=lambda entry: (entry.similarity,
-                                       entry.ontology_name,
-                                       entry.concept_name))
-        return scored[:k]
+        return _top_k(candidates, values, k, best_first=False)
 
     def get_similarity_matrix(self, concepts: Sequence[ConceptRef],
                               measure: int | str | Measure,

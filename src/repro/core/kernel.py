@@ -176,7 +176,8 @@ class SimilarityKernel:
         with telemetry.span("kernel.build", nodes=len(taxonomy)):
             self.tables = taxonomy.compile().export_tables()
         telemetry.count("kernel.builds")
-        self._node_ids: dict[QualifiedConcept, int] = {}
+        #: String keys: a frozen dataclass would hash in Python per lookup.
+        self._node_ids: dict[tuple[str, str], int] = {}
         self._ic: list[float] | None = None
         self._max_ic: float | None = None
         self._edge_values: dict[int, float] = {}
@@ -185,13 +186,14 @@ class SimilarityKernel:
     # -- id resolution ------------------------------------------------------
 
     def _resolve_id(self, concept: QualifiedConcept) -> int:
-        cached = self._node_ids.get(concept)
+        key = (concept.ontology_name, concept.concept_name)
+        cached = self._node_ids.get(key)
         if cached is None:
             # node_of validates and raises the same typed errors the
             # per-pair path would (unknown ontology vs unknown concept).
             node = self.wrapper.tree.node_of(concept)
             cached = self.tables.ids[node]
-            self._node_ids[concept] = cached
+            self._node_ids[key] = cached
         return cached
 
     def _resolve_pairs(self, pairs: Sequence) -> list[tuple[int, int]]:
@@ -547,9 +549,20 @@ def try_batch(runner: MeasureRunner, pairs: Sequence) -> list[float] | None:
     values, pending = runner.bulk_lookup(pairs)
     if pending:
         keys = list(pending)
-        computed = kernel.batch(inner, keys)
+        computed = kernel.batch(inner, _canonical_pairs(pairs, pending))
         runner.bulk_store(zip(keys, computed))
         for key, value in zip(keys, computed):
             for position in pending[key]:
                 values[position] = value
     return values
+
+
+def _canonical_pairs(pairs: Sequence, pending: dict) -> list[tuple]:
+    """Each pending key's first input pair, in the key's order."""
+    canonical = []
+    for (ontology, concept, _, _), positions in pending.items():
+        first, second = pair = pairs[positions[0]]
+        canonical.append(pair if first.concept_name == concept
+                         and first.ontology_name == ontology
+                         else (second, first))
+    return canonical

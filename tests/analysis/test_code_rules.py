@@ -53,6 +53,7 @@ RULE_CASES = [
      "abandoning-executor-shutdown", 2),
     ("signal_thread_bad.py", "signal_thread_good.py",
      "signal-off-main-thread", 1),
+    ("environ_write_bad.py", "environ_write_good.py", "environ-write", 5),
 ]
 
 

@@ -122,6 +122,46 @@ class TestCaching:
         assert mini_sst.runner(measure_id).hits >= 1
 
 
+class TestFlatKey:
+    """One flat string key per pair, shared by the L1 and the L2."""
+
+    def test_four_strings_in_canonical_order(self, cached):
+        key = cached.cache_key(STUDENT, QualifiedConcept("MINI", "COURSE"))
+        assert key == ("MINI", "COURSE", "univ", "Student")
+        assert all(type(part) is str for part in key)
+
+    def test_mirrored_pairs_share_one_key(self, cached):
+        other = QualifiedConcept("wn", "person")
+        assert cached.cache_key(PROFESSOR, other) \
+            == cached.cache_key(other, PROFESSOR) \
+            == ("univ", "Professor", "wn", "person")
+
+    def test_same_ontology_pair_ordered_by_concept(self, cached):
+        assert cached.cache_key(STUDENT, PROFESSOR) \
+            == cached.cache_key(PROFESSOR, STUDENT) \
+            == ("univ", "Professor", "univ", "Student")
+
+    def test_self_pair_has_one_key(self, cached):
+        assert cached.cache_key(PROFESSOR, PROFESSOR) \
+            == ("univ", "Professor", "univ", "Professor")
+
+    def test_asymmetric_runner_keeps_caller_order(self, mini_sst):
+        cached = CachedRunner(mini_sst.runner(Measure.SHORTEST_PATH),
+                              symmetric=False)
+        assert cached.cache_key(STUDENT, PROFESSOR) \
+            == ("univ", "Student", "univ", "Professor")
+
+    def test_l1_key_is_the_l2_row(self, mini_sst, tmp_path):
+        l2 = DiskCache(tmp_path)
+        cached = CachedRunner(mini_sst.runner(Measure.SHORTEST_PATH),
+                              l2=l2, fingerprint="fp")
+        value = cached.run(STUDENT, PROFESSOR)
+        cached.flush()
+        (key,) = cached._table
+        assert key == cached.cache_key(STUDENT, PROFESSOR)
+        assert l2.get_many("fp", cached.name, [key]) == {key: value}
+
+
 class TestBulkCounterParity:
     """The batch path books exactly what the per-pair ``run`` loop does."""
 
@@ -132,15 +172,14 @@ class TestBulkCounterParity:
         l2 = DiskCache(directory)
         cached = CachedRunner(inner, l2=l2, fingerprint="fp")
         # L2-only rows: stored on disk but absent from the L1.
-        l2.put_many(("fp", cached.name, *CachedRunner._l2_columns(key),
-                     inner.run(*key))
-                    for key in (cached.cache_key(PROFESSOR, EMPLOYEE),
-                                cached.cache_key(STUDENT, COURSE)))
+        l2.put_many(("fp", cached.name, *cached.cache_key(*pair),
+                     inner.run(*pair))
+                    for pair in ((PROFESSOR, EMPLOYEE), (STUDENT, COURSE)))
         l2.flush()
         # An L1-resident entry, seeded without touching any counter.
         key = cached.cache_key(PROFESSOR, STUDENT)
         with cached._lock:
-            cached._table[key] = inner.run(*key)
+            cached._table[key] = inner.run(PROFESSOR, STUDENT)
         return cached
 
     def _books(self, cached) -> dict:

@@ -228,6 +228,49 @@ class TestSelfHealing:
         assert cache.get("fp", "m", "o", "a", "o", "b") is None
         assert cache.quarantined == 1
 
+    def test_older_schema_is_rebuilt_not_quarantined(self, cache):
+        # A healthy file as the schema-1 release wrote it: a rowid
+        # table with a separate primary-key index, stamped version 1.
+        telemetry.reset()
+        cache.directory.mkdir(parents=True, exist_ok=True)
+        old = sqlite3.connect(str(cache.path))
+        old.execute("PRAGMA journal_mode=WAL")
+        old.execute(
+            "CREATE TABLE similarity (schema_version INTEGER NOT NULL,"
+            " fingerprint TEXT NOT NULL, measure TEXT NOT NULL,"
+            " first_ontology TEXT NOT NULL, first_concept TEXT NOT NULL,"
+            " second_ontology TEXT NOT NULL,"
+            " second_concept TEXT NOT NULL, value REAL NOT NULL,"
+            " PRIMARY KEY (schema_version, fingerprint, measure,"
+            "  first_ontology, first_concept,"
+            "  second_ontology, second_concept))")
+        old.execute(
+            "CREATE TABLE fingerprint_meta (schema_version INTEGER NOT NULL,"
+            " fingerprint TEXT NOT NULL, generation INTEGER NOT NULL,"
+            " PRIMARY KEY (schema_version, fingerprint))")
+        old.execute("INSERT INTO similarity VALUES"
+                    " (1, 'fp', 'm', 'o', 'a', 'o', 'b', 0.75)")
+        old.execute("INSERT INTO fingerprint_meta VALUES (1, 'fp', 1)")
+        old.execute("PRAGMA user_version = 1")
+        old.commit()
+        old.close()
+
+        assert cache.get("fp", "m", "o", "a", "o", "b") is None
+        assert cache.quarantined == 0
+        assert list(cache.directory.glob("*.corrupt-*")) == []
+        assert telemetry.get_registry().value("cache.l2.quarantined") == 0
+        cache.put("fp", "m", "o", "a", "o", "b", 0.5)
+        assert cache.flush() == 1
+        assert cache.get("fp", "m", "o", "a", "o", "b") == 0.5
+        assert cache.stats()["entries"] == 1
+        connection = cache._connect()
+        assert connection.execute("PRAGMA user_version").fetchone()[0] \
+            == diskcache._SCHEMA_VERSION == 2
+        (table_sql,) = connection.execute(
+            "SELECT sql FROM sqlite_master WHERE name='similarity'"
+        ).fetchone()
+        assert table_sql.endswith("WITHOUT ROWID")
+
     def test_repeated_quarantines_keep_all_evidence(self, cache):
         for _ in range(2):
             # Close first: a live WAL connection would checkpoint over

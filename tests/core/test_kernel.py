@@ -320,6 +320,48 @@ class TestCachedBatches:
             built.batch = original
         assert warm == cold
 
+    @pytest.mark.parametrize("measure", BATCHABLE_MEASURES,
+                             ids=[m.name for m in BATCHABLE_MEASURES])
+    def test_mirrored_pairs_in_one_batch(self, mini_sst, measure):
+        runner = mini_sst.runner(measure)
+        inner = runner.inner if isinstance(runner, CachedRunner) \
+            else runner
+        concepts = _qualified_panel()
+        # Both orientations of every pair, plus self pairs, with the
+        # non-canonical orientation first for half of them.
+        pairs = [(a, b) for a in concepts for b in concepts]
+        pairs += [(b, a) for a, b in pairs[::2]]
+        batched = kernel.try_batch(CachedRunner(inner), pairs)
+        per_pair = CachedRunner(inner)
+        assert batched == [per_pair.run(a, b) for a, b in pairs]
+        naive = BatchSimilarityEngine(inner, engine="naive")
+        assert batched == naive.score_pairs(pairs)
+
+    def test_kernel_gets_input_concepts_in_canonical_order(self, cached):
+        concepts = _qualified_panel()
+        pairs = [(b, a) for a in concepts for b in concepts]
+        built = cached.wrapper.kernel()
+        handed: list = []
+        original = built.batch
+
+        def spy(runner, batch_pairs):
+            handed.extend(batch_pairs)
+            return original(runner, batch_pairs)
+
+        built.batch = spy
+        try:
+            kernel.try_batch(cached, pairs)
+        finally:
+            built.batch = original
+        inputs = {id(concept) for concept in concepts}
+        keys = [cached.cache_key(a, b) for a, b in handed]
+        assert len(set(keys)) == len(keys) == 21
+        for (first, second), key in zip(handed, keys):
+            assert (first.ontology_name, first.concept_name,
+                    second.ontology_name, second.concept_name) == key
+            # Recovered from the input pairs, not re-allocated.
+            assert id(first) in inputs and id(second) in inputs
+
     def test_cached_engine_matches_uncached(self, mini_sst, cached):
         concepts = _qualified_panel()
         pairs = [(a, b) for a in concepts for b in concepts]

@@ -102,15 +102,15 @@ class TestIndexThresholdOption:
 
         from repro.soqa.graphindex import INDEX_THRESHOLD_ENV
 
-        # Seed the variable through monkeypatch so the CLI's write is
-        # rolled back after the test.
+        # A prior value: the flag overrides it for this one command,
+        # which restores it on the way out.
         monkeypatch.setenv(INDEX_THRESHOLD_ENV, "512")
         argv = ["--ontology-file", owl_file, "--index-threshold", "0",
                 "stats"]
         assert main(argv) == 0
-        assert os.environ[INDEX_THRESHOLD_ENV] == "0"
+        assert os.environ[INDEX_THRESHOLD_ENV] == "512"
         out = capsys.readouterr().out
-        assert "graph index compiled" in out
+        assert "graph index compiled (threshold 0)" in out
 
     def test_stats_reports_naive_index_state(self, capsys, owl_file):
         assert main(["--ontology-file", owl_file, "stats"]) == 0

@@ -1,0 +1,62 @@
+"""The CLI's global and batch flags stay scoped to one command.
+
+``--index-threshold``, ``--task-timeout``, ``--retry-budget`` and
+``--engine`` reach deep layers through their ``SST_*`` variables; an
+in-process caller of :func:`repro.cli.main` must find its environment
+exactly as it left it.
+"""
+
+import os
+
+import pytest
+
+from repro.cli import main
+from tests.conftest import MINI_OWL
+
+ALL_FLAGS = ["--index-threshold", "0", "matrix", "univ:Person",
+             "univ:Student", "--task-timeout", "30", "--retry-budget", "1",
+             "--engine", "naive"]
+
+
+@pytest.fixture
+def owl_file(tmp_path, monkeypatch) -> str:
+    monkeypatch.setenv("SST_CACHE_DIR", str(tmp_path / "cache"))
+    path = tmp_path / "univ.owl"
+    path.write_text(MINI_OWL, encoding="utf-8")
+    return str(path)
+
+
+class TestScopedFlags:
+    def test_stats_leaves_environ_unchanged(self, capsys, owl_file):
+        before = dict(os.environ)
+        assert main(["--ontology-file", owl_file, "--index-threshold", "0",
+                     "stats"]) == 0
+        assert dict(os.environ) == before
+        assert "(threshold 0)" in capsys.readouterr().out
+
+    def test_all_four_flags_leave_environ_unchanged(self, owl_file):
+        before = dict(os.environ)
+        assert main(["--ontology-file", owl_file, *ALL_FLAGS]) == 0
+        assert dict(os.environ) == before
+
+    def test_prior_values_are_restored(self, owl_file, monkeypatch):
+        monkeypatch.setenv("SST_ENGINE", "kernel")
+        monkeypatch.setenv("SST_RETRY_BUDGET", "2")
+        before = dict(os.environ)
+        assert main(["--ontology-file", owl_file, *ALL_FLAGS]) == 0
+        assert dict(os.environ) == before
+
+    def test_restored_after_a_failing_command(self, owl_file):
+        before = dict(os.environ)
+        assert main(["--ontology-file", owl_file, "--index-threshold", "0",
+                     "matrix", "univ:Nope", "univ:Person",
+                     "--engine", "naive"]) == 1
+        assert dict(os.environ) == before
+
+    def test_threshold_does_not_reach_the_next_command(self, capsys,
+                                                       owl_file):
+        assert main(["--ontology-file", owl_file, "--index-threshold", "0",
+                     "stats"]) == 0
+        assert "graph index compiled" in capsys.readouterr().out
+        assert main(["--ontology-file", owl_file, "stats"]) == 0
+        assert "graph index naive" in capsys.readouterr().out
