@@ -102,11 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory of the persistent similarity cache (default: "
              "SST_CACHE_DIR, else ~/.cache/sst)")
     parser.add_argument(
-        "--index-threshold", type=int, default=None, metavar="N",
-        help="taxonomy size from which the compiled graph index is "
-             "built (default: SST_INDEX_THRESHOLD, else 512; 0 always, "
-             "negative never)")
-    parser.add_argument(
         "--l1-max", type=int, default=None, metavar="N", dest="l1_max",
         help="entry cap of the in-memory similarity cache (default: "
              "SST_L1_MAX, else 100000)")
@@ -464,15 +459,13 @@ def _run(arguments: argparse.Namespace) -> int:
 def _flag_environ(arguments: argparse.Namespace) -> dict[str, str]:
     """The ``SST_*`` variables that the global flags stand for.
 
-    Deep layers (the index threshold, the process supervisor, the batch
-    engine) and forked workers read these from the environment.
+    Deep layers (the process supervisor, the batch engine) and forked
+    workers read these from the environment.
     """
     from repro.core.kernel import ENGINE_ENV
     from repro.core.parallel import RETRY_BUDGET_ENV, TASK_TIMEOUT_ENV
-    from repro.soqa.graphindex import INDEX_THRESHOLD_ENV
 
-    flags = {INDEX_THRESHOLD_ENV: arguments.index_threshold,
-             TASK_TIMEOUT_ENV: getattr(arguments, "task_timeout", None),
+    flags = {TASK_TIMEOUT_ENV: getattr(arguments, "task_timeout", None),
              RETRY_BUDGET_ENV: getattr(arguments, "retry_budget", None),
              ENGINE_ENV: getattr(arguments, "engine", None)}
     return {name: str(value) for name, value in flags.items()
@@ -621,9 +614,7 @@ def _dispatch(sst: SOQASimPackToolkit,
         from repro.soqa.sqlstore import SqliteOntology
 
         info = sst.tree.index_info()
-        state = "compiled" if info["compiled"] else "naive"
-        print(f"\nunified tree: {info['nodes']} nodes, graph index "
-              f"{state} (threshold {info['index_threshold']})")
+        print(f"\nunified tree: {info['nodes']} nodes, graph index compiled")
         provenance = sst.tree.taxonomy.index_provenance
         if provenance is not None:
             origin = ("loaded from persisted artifact"
@@ -809,8 +800,6 @@ def _run_observed(arguments: argparse.Namespace) -> int:
         inner.ontology_files = arguments.ontology_files
     if inner.cache_dir is None:
         inner.cache_dir = arguments.cache_dir
-    if inner.index_threshold is None:
-        inner.index_threshold = arguments.index_threshold
     if inner.l1_max is None:
         inner.l1_max = arguments.l1_max
     telemetry.set_enabled(True)

@@ -170,13 +170,11 @@ class UnifiedTree:
 
         The underlying :class:`~repro.soqa.graph.Taxonomy` builds its
         :class:`~repro.soqa.graphindex.CompiledTaxonomy` lazily on the
-        first heavy query once the node count reaches the threshold;
-        asking for the info triggers that build when eligible, so the
+        first query; asking for the info triggers that build, so the
         report reflects how queries will actually be served.
         """
-        self.taxonomy.index()
+        self.taxonomy.compile()
         return {
             "nodes": len(self.taxonomy),
-            "index_threshold": self.taxonomy.index_threshold,
             "compiled": self.taxonomy.is_compiled,
         }

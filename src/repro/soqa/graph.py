@@ -12,16 +12,18 @@ choice is benchmarked in the Figure-3 ablation.
 A :class:`Taxonomy` is deliberately decoupled from the SOQA meta model —
 it is built from ``(node, parents)`` pairs — so the same algorithms serve
 single ontologies, the unified Super-Thing tree, and synthetic taxonomies
-in the scaling benches.
+in the scaling benches.  Every query is served by the compiled index of
+:mod:`repro.soqa.graphindex` (ancestors stored once per node, as
+distance maps), built on the first query or warm-loaded from a
+persisted artifact (:mod:`repro.soqa.indexstore`).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Mapping
 
 from repro.errors import UnknownConceptError
-from repro.soqa.graphindex import CompiledTaxonomy, resolve_index_threshold
+from repro.soqa.graphindex import CompiledTaxonomy
 
 __all__ = ["PathPolicy", "Taxonomy"]
 
@@ -34,17 +36,12 @@ ANY_PATH: PathPolicy = "any"
 class Taxonomy:
     """An immutable specialization DAG with cached graph queries.
 
-    Past ``index_threshold`` nodes (default: the ``SST_INDEX_THRESHOLD``
-    environment variable, else
-    :data:`repro.soqa.graphindex.DEFAULT_INDEX_THRESHOLD`) the heavy
-    queries are transparently delegated to a
+    Every query is answered by a
     :class:`~repro.soqa.graphindex.CompiledTaxonomy`, which is built
-    lazily on the first such query and returns bit-identical results.
-    A negative threshold disables compilation, ``0`` forces it.
+    lazily on the first query (construction never compiles).
     """
 
-    def __init__(self, parents: Mapping[str, Iterable[str]], *,
-                 index_threshold: int | None = None):
+    def __init__(self, parents: Mapping[str, Iterable[str]]):
         self._parents: dict[str, tuple[str, ...]] = {
             node: tuple(node_parents)
             for node, node_parents in parents.items()
@@ -56,11 +53,8 @@ class Taxonomy:
                 if parent not in self._parents:
                     raise UnknownConceptError(parent)
                 self._children[parent].append(node)
-        self._depth_cache: dict[str, int] = {}
         self._ancestor_cache: dict[str, dict[str, int]] = {}
         self._descendant_count_cache: dict[str, int] = {}
-        self._max_depth: int | None = None
-        self._index_threshold = resolve_index_threshold(index_threshold)
         self._compiled: CompiledTaxonomy | None = None
         self._index_store = None
         self._index_fingerprint = ""
@@ -71,31 +65,13 @@ class Taxonomy:
     # -- compiled index -----------------------------------------------------------
 
     @property
-    def index_threshold(self) -> int:
-        """Node count past which queries use the compiled index."""
-        return self._index_threshold
-
-    @property
     def is_compiled(self) -> bool:
         """Whether the compiled index has been built."""
         return self._compiled is not None
 
     def compile(self) -> CompiledTaxonomy:
-        """Build (once) and return the compiled index regardless of size."""
+        """Build (once) and return the compiled index."""
         if self._compiled is None:
-            self._compiled = self._build_index()
-        return self._compiled
-
-    def index(self) -> CompiledTaxonomy | None:
-        """The compiled index if this taxonomy is eligible, else ``None``.
-
-        Builds the index on first call once the node count has reached
-        the threshold; every heavy query funnels through this.
-        """
-        if self._compiled is None:
-            threshold = self._index_threshold
-            if threshold < 0 or len(self._parents) < threshold:
-                return None
             self._compiled = self._build_index()
         return self._compiled
 
@@ -105,10 +81,9 @@ class Taxonomy:
         ``store`` is a :class:`~repro.soqa.indexstore.IndexStore`;
         once attached, the (still lazy) index build goes through
         ``store.load_or_compile`` — loading the fingerprint-keyed
-        artifact when one exists, else compiling incrementally and
-        persisting the result for the next run.  Must be called before
-        the first heavy query; attaching after the index was built is a
-        no-op.
+        artifact when one exists, else compiling and persisting the
+        result for the next run.  Must be called before the first
+        query; attaching after the index was built is a no-op.
         """
         self._index_store = store
         self._index_fingerprint = fingerprint
@@ -137,7 +112,6 @@ class Taxonomy:
         self.index_provenance = {"source": "compiled", "seconds": elapsed,
                                  "nodes": len(self._parents)}
         return compiled
-
 
     # -- basic structure ---------------------------------------------------------
 
@@ -178,108 +152,30 @@ class Taxonomy:
     # -- depths -------------------------------------------------------------------
 
     def depth(self, node: str) -> int:
-        """Shortest edge distance from ``node`` up to any root.
-
-        ``depth(n) = 1 + min(depth(parent))``, computed iteratively with
-        memoization (recursion could overflow on deep chains).
-        """
-        self._require(node)
-        index = self.index()
-        if index is not None:
-            return index.depth(node)
-        stack = [node]
-        while stack:
-            current = stack[-1]
-            if current in self._depth_cache:
-                stack.pop()
-                continue
-            node_parents = self._parents[current]
-            if not node_parents:
-                self._depth_cache[current] = 0
-                stack.pop()
-                continue
-            missing = [parent for parent in node_parents
-                       if parent not in self._depth_cache]
-            if missing:
-                stack.extend(missing)
-            else:
-                self._depth_cache[current] = 1 + min(
-                    self._depth_cache[parent] for parent in node_parents)
-                stack.pop()
-        return self._depth_cache[node]
+        """Shortest edge distance from ``node`` up to any root."""
+        return self.compile().depth(node)
 
     def max_depth(self) -> int:
         """Length of the longest root-to-leaf path (``MAX`` in Eq. 5).
 
-        Computed as the longest *shortest* root distance over all leaves
-        would underestimate multi-parent chains, so this walks the DAG in
-        topological order accumulating the longest path from any root.
+        The longest path from any root, not the largest shortest root
+        distance, which would underestimate multi-parent chains.
         """
-        if self._max_depth is not None:
-            return self._max_depth
-        index = self.index()
-        if index is not None:
-            self._max_depth = index.max_depth()
-            return self._max_depth
-        longest: dict[str, int] = {}
-        for node in self._topological_order():
-            node_parents = self._parents[node]
-            if not node_parents:
-                longest[node] = 0
-            else:
-                longest[node] = 1 + max(longest[parent]
-                                        for parent in node_parents)
-        self._max_depth = max(longest.values(), default=0)
-        return self._max_depth
-
-    def _topological_order(self) -> list[str]:
-        in_degree = {node: len(node_parents)
-                     for node, node_parents in self._parents.items()}
-        queue = deque(node for node, degree in in_degree.items()
-                      if degree == 0)
-        order: list[str] = []
-        while queue:
-            node = queue.popleft()
-            order.append(node)
-            for child in self._children[node]:
-                in_degree[child] -= 1
-                if in_degree[child] == 0:
-                    queue.append(child)
-        return order
+        return self.compile().max_depth()
 
     # -- ancestors and MRCA ----------------------------------------------------------
 
     def ancestors_with_distance(self, node: str) -> dict[str, int]:
         """Map every ancestor-or-self of ``node`` to its minimum distance."""
-        self._require(node)
         cached = self._ancestor_cache.get(node)
-        if cached is not None:
-            return cached
-        index = self.index()
-        if index is not None:
-            distances = index.ancestors_with_distance(node)
-            self._ancestor_cache[node] = distances
-            return distances
-        distances = {node: 0}
-        frontier = deque([node])
-        while frontier:
-            current = frontier.popleft()
-            for parent in self._parents[current]:
-                if parent not in distances:
-                    distances[parent] = distances[current] + 1
-                    frontier.append(parent)
-        self._ancestor_cache[node] = distances
-        return distances
+        if cached is None:
+            cached = self.compile().ancestors_with_distance(node)
+            self._ancestor_cache[node] = cached
+        return cached
 
     def common_ancestors(self, first: str, second: str) -> set[str]:
         """All concepts subsuming both nodes (``S(Rx, Ry)`` in Eq. 7)."""
-        self._require(first)
-        self._require(second)
-        index = self.index()
-        if index is not None:
-            return index.common_ancestors(first, second)
-        return (set(self.ancestors_with_distance(first))
-                & set(self.ancestors_with_distance(second)))
+        return self.compile().common_ancestors(first, second)
 
     def mrca(self, first: str, second: str) -> tuple[str, int, int] | None:
         """The most recent common ancestor and the distances to it.
@@ -288,26 +184,7 @@ class Taxonomy:
         by deeper ancestor, then name, for determinism), or ``None`` when
         the nodes share no ancestor (distinct components).
         """
-        self._require(first)
-        self._require(second)
-        index = self.index()
-        if index is not None:
-            return index.mrca(first, second)
-        first_distances = self.ancestors_with_distance(first)
-        second_distances = self.ancestors_with_distance(second)
-        best: tuple[int, int, str] | None = None
-        for ancestor, distance_first in first_distances.items():
-            distance_second = second_distances.get(ancestor)
-            if distance_second is None:
-                continue
-            key = (distance_first + distance_second,
-                   -self.depth(ancestor), ancestor)
-            if best is None or key < best:
-                best = key
-        if best is None:
-            return None
-        ancestor = best[2]
-        return ancestor, first_distances[ancestor], second_distances[ancestor]
+        return self.compile().mrca(first, second)
 
     # -- shortest paths -----------------------------------------------------------------
 
@@ -321,36 +198,7 @@ class Taxonomy:
         connecting concepts through common descendants (paper section
         2.2).  Returns ``None`` if no such path exists.
         """
-        self._require(first)
-        self._require(second)
-        index = self.index()
-        if index is not None:
-            return index.shortest_path_length(first, second, policy)
-        if first == second:
-            return 0
-        if policy == VIA_ANCESTOR:
-            meeting = self.mrca(first, second)
-            if meeting is None:
-                return None
-            return meeting[1] + meeting[2]
-        if policy == ANY_PATH:
-            return self._undirected_bfs(first, second)
-        raise ValueError(f"unknown path policy {policy!r}")
-
-    def _undirected_bfs(self, first: str, second: str) -> int | None:
-        frontier = deque([(first, 0)])
-        seen = {first}
-        while frontier:
-            current, distance = frontier.popleft()
-            neighbors = list(self._parents[current])
-            neighbors.extend(self._children[current])
-            for neighbor in neighbors:
-                if neighbor == second:
-                    return distance + 1
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    frontier.append((neighbor, distance + 1))
-        return None
+        return self.compile().shortest_path_length(first, second, policy)
 
     # -- subtree statistics ----------------------------------------------------------------
 
@@ -361,43 +209,15 @@ class Taxonomy:
         for the information-theoretic measures when the instance space is
         sparse (the paper's proposal in section 2.2).
         """
-        self._require(node)
         cached = self._descendant_count_cache.get(node)
-        if cached is not None:
-            return cached
-        index = self.index()
-        if index is not None:
-            count = index.descendant_count(node)
-            self._descendant_count_cache[node] = count
-            return count
-        seen = {node}
-        frontier = deque([node])
-        while frontier:
-            current = frontier.popleft()
-            for child in self._children[current]:
-                if child not in seen:
-                    seen.add(child)
-                    frontier.append(child)
-        count = len(seen)
-        self._descendant_count_cache[node] = count
-        return count
+        if cached is None:
+            cached = self.compile().descendant_count(node)
+            self._descendant_count_cache[node] = cached
+        return cached
 
     def descendants(self, node: str) -> set[str]:
         """All distinct descendants of ``node`` (excluding itself)."""
-        self._require(node)
-        index = self.index()
-        if index is not None:
-            return index.descendants(node)
-        seen = {node}
-        frontier = deque([node])
-        while frontier:
-            current = frontier.popleft()
-            for child in self._children[current]:
-                if child not in seen:
-                    seen.add(child)
-                    frontier.append(child)
-        seen.discard(node)
-        return seen
+        return self.compile().descendants(node)
 
     def path_to_root(self, node: str) -> list[str]:
         """One shortest node sequence from ``node`` up to a root.
@@ -406,14 +226,4 @@ class Taxonomy:
         Deterministic: among equally short parents the lexicographically
         smallest is taken.
         """
-        self._require(node)
-        index = self.index()
-        if index is not None:
-            return index.path_to_root(node)
-        path = [node]
-        current = node
-        while self._parents[current]:
-            current = min(self._parents[current],
-                          key=lambda parent: (self.depth(parent), parent))
-            path.append(current)
-        return path
+        return self.compile().path_to_root(node)

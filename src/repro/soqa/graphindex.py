@@ -1,85 +1,42 @@
-"""Compiled taxonomy index: interned IDs, ancestor bitsets, O(1) lookups.
+"""Compiled taxonomy index: interned IDs, ancestor maps, O(1) lookups.
 
-:class:`repro.soqa.graph.Taxonomy` answers every query by BFS over
-string-keyed dicts.  That is fine for the paper's toy corpora but melts
-on WordNet-scale taxonomies (the Figure-3 GSM experiment runs thousands
-of ``mrca``/``shortest_path_length`` calls over ~10^5 nodes).  A
-:class:`CompiledTaxonomy` spends one topological pass up front and turns
-the hot queries into integer arithmetic:
+Every query of :class:`repro.soqa.graph.Taxonomy` is answered by this
+index, compiled once on the first query.  A :class:`CompiledTaxonomy`
+spends one topological pass up front and turns the hot queries into
+integer arithmetic:
 
 - node names are interned to dense integer IDs;
-- per-node *ancestor bitsets* are Python big-ints, so
-  ``common_ancestors`` is a single ``&`` and MRCA a bitset intersection
-  followed by an argmin over the set bits;
+- each node stores its ancestors once, as an *ancestor-distance map*
+  (ancestor-or-self ID -> minimum edge distance), so
+  ``common_ancestors`` is a key-set intersection and MRCA an argmin
+  over the smaller map's keys looked up in the larger one;
 - min-depth and longest-path arrays make ``depth``/``max_depth`` O(1);
 - *descendant bitsets* give exact DAG subtree sizes via popcount —
   the corpus frequencies behind the information-content measures — so
   IC probability lookups are O(1) array reads.
 
-Results are bit-identical to the naive implementation, including its
-deterministic tie-breaking (MRCA prefers smaller distance sum, then the
-deeper ancestor, then the lexicographically smaller name;
+Tie-breaking is deterministic (MRCA prefers the smaller distance sum,
+then the deeper ancestor, then the lexicographically smaller name;
 ``path_to_root`` picks the shallowest, then lexicographically smallest
-parent).  ``Taxonomy`` builds this index transparently once a DAG grows
-past :func:`resolve_index_threshold` nodes (``SST_INDEX_THRESHOLD``).
+parent).  The property tests check every query against answers derived
+with networkx.  A parent map with an is-a cycle is rejected with
+:class:`~repro.errors.OntologyParseError` naming the cycle.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections import deque
 from typing import Iterable, Iterator, Mapping
 
-from repro.errors import SSTError, UnknownConceptError
+from repro.errors import OntologyParseError, UnknownConceptError
 
-__all__ = [
-    "CompiledTaxonomy",
-    "DEFAULT_INDEX_THRESHOLD",
-    "INDEX_THRESHOLD_ENV",
-    "TaxonomyTables",
-    "resolve_index_threshold",
-]
-
-#: Environment variable overriding the compile threshold.
-INDEX_THRESHOLD_ENV = "SST_INDEX_THRESHOLD"
-
-#: Compile the index once a taxonomy reaches this many nodes.  Small
-#: DAGs (the paper's corpora have tens of concepts) stay on the naive
-#: path where BFS beats the one-off compile cost.
-DEFAULT_INDEX_THRESHOLD = 512
+__all__ = ["CompiledTaxonomy", "TaxonomyTables"]
 
 # Mirrors of the ``repro.soqa.graph`` path policies; duplicated here so
 # the index module stays import-cycle free.
 _VIA_ANCESTOR = "via_ancestor"
 _ANY_PATH = "any"
-
-#: Nodes per chunk for :meth:`CompiledTaxonomy.compile_incremental`.
-_DEFAULT_COMPILE_CHUNK = 8192
-
-#: A memory budget can shrink compile chunks down to this floor.
-_MIN_COMPILE_CHUNK = 256
-
-
-def resolve_index_threshold(threshold: int | None = None) -> int:
-    """The effective compile threshold in nodes.
-
-    Precedence: explicit ``threshold`` argument, then the
-    ``SST_INDEX_THRESHOLD`` environment variable, then
-    :data:`DEFAULT_INDEX_THRESHOLD`.  ``0`` compiles every taxonomy,
-    a negative value disables compilation entirely.
-    """
-    if threshold is not None:
-        return int(threshold)
-    raw = os.environ.get(INDEX_THRESHOLD_ENV, "").strip()
-    if not raw:
-        return DEFAULT_INDEX_THRESHOLD
-    try:
-        return int(raw)
-    except ValueError:
-        raise SSTError(
-            f"{INDEX_THRESHOLD_ENV} must be an integer, got {raw!r}"
-        ) from None
 
 
 def _iter_bits(bits: int) -> Iterator[int]:
@@ -127,16 +84,16 @@ class TaxonomyTables:
 class CompiledTaxonomy:
     """Precomputed query structures over a specialization DAG.
 
-    Exposes the same query API as :class:`repro.soqa.graph.Taxonomy`
+    Serves the query API of :class:`repro.soqa.graph.Taxonomy`
     (``depth``/``max_depth``/``ancestors_with_distance``/
     ``common_ancestors``/``mrca``/``shortest_path_length``/
-    ``descendant_count``/``descendants``/``path_to_root``) and returns
-    bit-identical values, so ``Taxonomy`` can delegate blindly.
+    ``descendant_count``/``descendants``/``path_to_root``), which
+    delegates every query here.
     """
 
     __slots__ = (
         "_names", "_ids", "_parent_ids", "_child_ids",
-        "_ancestor_bits", "_ancestor_distances",
+        "_ancestor_distances",
         "_descendant_bits", "_descendant_counts", "_depths", "_longest",
         "_max_depth", "_neighbor_ids", "_tables",
     )
@@ -162,12 +119,9 @@ class CompiledTaxonomy:
         self._neighbor_ids: list[tuple[int, ...]] | None = None
         self._tables: TaxonomyTables | None = None
 
-    # -- alternate constructors ---------------------------------------------------
-
     @classmethod
     def from_state(cls, names: list[str],
                    parent_ids: list[tuple[int, ...]],
-                   ancestor_bits,
                    ancestor_distances,
                    descendant_bits,
                    depths: list[int], longest: list[int],
@@ -193,7 +147,6 @@ class CompiledTaxonomy:
             for parent in row:
                 child_ids[parent].append(index)
         self._child_ids = [tuple(row) for row in child_ids]
-        self._ancestor_bits = ancestor_bits
         self._ancestor_distances = ancestor_distances
         self._descendant_bits = descendant_bits
         self._descendant_counts = descendant_counts
@@ -204,108 +157,11 @@ class CompiledTaxonomy:
         self._tables = None
         return self
 
-    @classmethod
-    def compile_incremental(cls, parents: Mapping[str, Iterable[str]], *,
-                            chunk_size: int | None = None,
-                            memory_budget_bytes: int | None = None,
-                            ) -> "CompiledTaxonomy":
-        """Compile in topological chunks instead of one monolithic pass.
-
-        Bit-identical to ``CompiledTaxonomy(parents)`` — the node order
-        and every per-node operation are the same, only the loop is
-        partitioned — but the per-chunk scratch (the ancestor-map
-        working set grown inside one chunk) is bounded: after each chunk
-        the estimated live scratch is measured against
-        ``memory_budget_bytes`` and the next chunk shrinks (down to
-        :data:`_MIN_COMPILE_CHUNK` nodes) when the estimate exceeds it.
-        This is the build path for 100k+-node taxonomies, where one
-        unbounded pass would grow hundreds of MB of intermediate state
-        between two observable checkpoints.
-        """
-        self = cls.__new__(cls)
-        self._names = list(parents)
-        self._ids = {name: index
-                     for index, name in enumerate(self._names)}
-        self._parent_ids = []
-        child_ids: list[list[int]] = [[] for _ in self._names]
-        for index, name in enumerate(self._names):
-            row = []
-            for parent in parents[name]:
-                parent_id = self._ids.get(parent)
-                if parent_id is None:
-                    raise UnknownConceptError(parent)
-                row.append(parent_id)
-                child_ids[parent_id].append(index)
-            self._parent_ids.append(tuple(row))
-        self._child_ids = [tuple(row) for row in child_ids]
-        self._compile_chunked(chunk_size, memory_budget_bytes)
-        self._neighbor_ids = None
-        self._tables = None
-        return self
-
-    def _compile_chunked(self, chunk_size: int | None,
-                         memory_budget_bytes: int | None) -> None:
-        import sys
-
-        size = len(self._names)
-        order = self._topological_ids()
-        ancestor_bits = [0] * size
-        ancestor_distances: list[dict[int, int]] = [{}] * size
-        depths = [0] * size
-        longest = [0] * size
-        chunk = chunk_size or _DEFAULT_COMPILE_CHUNK
-        position = 0
-        while position < size:
-            window = order[position:position + chunk]
-            scratch_bytes = 0
-            for index in window:
-                bits = 1 << index
-                distances = {index: 0}
-                row = self._parent_ids[index]
-                for parent in row:
-                    bits |= ancestor_bits[parent]
-                    for ancestor, distance in (
-                            ancestor_distances[parent].items()):
-                        candidate = distance + 1
-                        known = distances.get(ancestor)
-                        if known is None or candidate < known:
-                            distances[ancestor] = candidate
-                if row:
-                    depths[index] = 1 + min(
-                        depths[parent] for parent in row)
-                    longest[index] = 1 + max(
-                        longest[parent] for parent in row)
-                ancestor_bits[index] = bits
-                ancestor_distances[index] = distances
-                scratch_bytes += (sys.getsizeof(distances)
-                                  + sys.getsizeof(bits))
-            position += len(window)
-            if memory_budget_bytes and scratch_bytes > memory_budget_bytes:
-                # The last chunk's scratch outgrew the budget: shrink
-                # proportionally so the next chunk's working set fits.
-                shrunk = max(_MIN_COMPILE_CHUNK,
-                             chunk * memory_budget_bytes // scratch_bytes)
-                chunk = int(shrunk)
-        descendant_bits = [0] * size
-        for index in reversed(order):
-            bits = 1 << index
-            for child in self._child_ids[index]:
-                bits |= descendant_bits[child]
-            descendant_bits[index] = bits
-        self._ancestor_bits = ancestor_bits
-        self._ancestor_distances = ancestor_distances
-        self._descendant_bits = descendant_bits
-        self._descendant_counts = None
-        self._depths = depths
-        self._longest = longest
-        self._max_depth = max(longest, default=0)
-
     def state(self) -> dict:
         """The compiled components, for artifact serialization."""
         return {
             "names": self._names,
             "parent_ids": self._parent_ids,
-            "ancestor_bits": self._ancestor_bits,
             "ancestor_distances": self._ancestor_distances,
             "descendant_bits": self._descendant_bits,
             "depths": self._depths,
@@ -327,21 +183,39 @@ class CompiledTaxonomy:
                 in_degree[child] -= 1
                 if in_degree[child] == 0:
                     queue.append(child)
+        if len(order) < len(self._names):
+            raise OntologyParseError(
+                f"is-a cycle detected: {self._cycle(in_degree)}")
         return order
+
+    def _cycle(self, in_degree: list[int]) -> str:
+        """One is-a cycle among the nodes a topological pass left over.
+
+        Every left-over node keeps a left-over parent, so walking such
+        parents from any of them must revisit a node.
+        """
+        current = next(index for index, degree in enumerate(in_degree)
+                       if degree)
+        trail: list[int] = []
+        seen: dict[int, int] = {}
+        while current not in seen:
+            seen[current] = len(trail)
+            trail.append(current)
+            current = next(parent for parent in self._parent_ids[current]
+                           if in_degree[parent])
+        cycle = trail[seen[current]:] + [current]
+        return " -> ".join(self._names[index] for index in cycle)
 
     def _compile(self) -> None:
         size = len(self._names)
         order = self._topological_ids()
-        ancestor_bits = [0] * size
         ancestor_distances: list[dict[int, int]] = [{}] * size
         depths = [0] * size
         longest = [0] * size
         for index in order:
-            bits = 1 << index
             distances = {index: 0}
             row = self._parent_ids[index]
             for parent in row:
-                bits |= ancestor_bits[parent]
                 for ancestor, distance in ancestor_distances[parent].items():
                     candidate = distance + 1
                     known = distances.get(ancestor)
@@ -350,7 +224,6 @@ class CompiledTaxonomy:
             if row:
                 depths[index] = 1 + min(depths[parent] for parent in row)
                 longest[index] = 1 + max(longest[parent] for parent in row)
-            ancestor_bits[index] = bits
             ancestor_distances[index] = distances
         descendant_bits = [0] * size
         for index in reversed(order):
@@ -358,7 +231,6 @@ class CompiledTaxonomy:
             for child in self._child_ids[index]:
                 bits |= descendant_bits[child]
             descendant_bits[index] = bits
-        self._ancestor_bits = ancestor_bits
         self._ancestor_distances = ancestor_distances
         self._descendant_bits = descendant_bits
         self._descendant_counts = None
@@ -435,10 +307,11 @@ class CompiledTaxonomy:
                 in self._ancestor_distances[self._id(node)].items()}
 
     def common_ancestors(self, first: str, second: str) -> set[str]:
-        shared = (self._ancestor_bits[self._id(first)]
-                  & self._ancestor_bits[self._id(second)])
+        first_distances = self._ancestor_distances[self._id(first)]
+        second_distances = self._ancestor_distances[self._id(second)]
         names = self._names
-        return {names[index] for index in _iter_bits(shared)}
+        return {names[index] for index
+                in first_distances.keys() & second_distances.keys()}
 
     def mrca(self, first: str, second: str) -> tuple[str, int, int] | None:
         return self._mrca_ids(self._id(first), self._id(second))
@@ -446,8 +319,7 @@ class CompiledTaxonomy:
     def _mrca_ids(self, first: int,
                   second: int) -> tuple[str, int, int] | None:
         # Intersect the precomputed distance maps by iterating the
-        # smaller one — cheaper than extracting set bits from the
-        # ancestor-bitset intersection when ancestor sets are small.
+        # smaller one and probing the larger.
         first_distances = self._ancestor_distances[first]
         second_distances = self._ancestor_distances[second]
         if len(second_distances) < len(first_distances):
@@ -472,9 +344,8 @@ class CompiledTaxonomy:
             return None
         names = self._names
         if tied:
-            # Tie-break exactly like the naive implementation: among the
-            # minimal-sum ancestors prefer the deeper one, then the
-            # lexicographically smaller name.
+            # Among the minimal-sum ancestors prefer the deeper one,
+            # then the lexicographically smaller name.
             depths = self._depths
             best: tuple[int, str] | None = None
             for ancestor, near in smaller.items():

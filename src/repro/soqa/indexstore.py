@@ -6,7 +6,8 @@ WordNet-scale corpus costs ~10s of topological bookkeeping per process
 changed.  This module persists the compiled state once, keyed by the
 corpus content fingerprint, and memory-loads it on later runs.
 
-Artifact format (``index-<fingerprint>.sstidx``, version 1)::
+Artifact format (``index-<fingerprint>.sstidx``, version 2, 12
+sections)::
 
     magic "SSTIDX01" | u32 version | u64 nodes | u64 max_depth
     | u32 section count | (u64 length + payload) per section
@@ -14,28 +15,32 @@ Artifact format (``index-<fingerprint>.sstidx``, version 1)::
 
 Sections hold the interned names (one utf-8 blob plus an end-offset
 array), the depth/longest-path columns, flattened parent adjacency and
-ancestor-distance maps as fixed-width ``int64`` arrays, per-node
-descendant popcounts, and the ancestor/descendant bitsets as raw
-bytes.  Bitsets are encoded per node as whichever of two forms is
-smaller — the big-int's little-endian bytes, or the sorted set-bit
-indices — because dense encoding of all bitsets is O(nodes²) bytes
-(~1.5 GB at 100k nodes) while the sparse form tracks the actual edge
-density (~36 MB).  The save path never walks big-int bits: the sparse
-ancestor indices are exactly the keys of the ancestor-distance maps,
-and the descendant index lists are their transpose.
+ancestor-distance maps as fixed-width ``int64`` arrays (each node's
+ancestors are stored once, there), the descendant bitsets as raw
+bytes, and per-node descendant popcounts.  A descendant bitset is
+encoded as whichever of two forms is smaller — the big-int's
+little-endian bytes, or the sorted set-bit indices — because dense
+encoding of all bitsets is O(nodes²) bytes while the sparse form
+tracks the actual edge density.  The save path never walks big-int
+bits for sparse entries: the descendant index lists are the transpose
+of the ancestor-distance map keys.
 
 Loading opens the file through :class:`mmap.mmap`, verifies the
 checksum, and materializes only the cheap columns (names, depths,
-adjacency).  The two bitset columns and the ancestor-distance maps
+adjacency).  The descendant bitsets and the ancestor-distance maps
 stay *lazy*: list-like views that decode one node's entry straight off
 the ``memoryview`` on first access and cache it.  A similarity query
 touches a handful of nodes, so warm-start cost is O(touched), not
-O(corpus) — that is what makes the artifact load beat a recompile.  A
-corrupt, truncated or version-mismatched artifact is *quarantined*
-(renamed to ``*.corrupt-<n>``, counted as ``index.persist.quarantined``)
-and the index is recompiled and re-persisted — the same self-healing
-contract as the L2 score cache, exercised through the ``index.corrupt``
-fault site.
+O(corpus) — that is what makes the artifact load beat a recompile.
+
+An artifact of the older version 1 layout (which also stored ancestor
+bitsets) is stale, not broken: it is deleted, and the index is
+recompiled and re-persisted as version 2.  A corrupt, truncated or
+unknown-version artifact is *quarantined* (renamed to
+``*.corrupt-<n>``, counted as ``index.persist.quarantined``) and the
+index is recompiled and re-persisted — the same self-healing contract
+as the L2 score cache, exercised through the ``index.corrupt`` fault
+site.
 """
 
 from __future__ import annotations
@@ -94,17 +99,17 @@ def resolve_persist_threshold(threshold: int | None = None) -> int:
 
 _MAGIC = b"SSTIDX01"
 
-#: Bump on incompatible layout changes; mismatches quarantine+recompile.
-_VERSION = 1
+#: Bump on incompatible layout changes.  Older known versions are
+#: deleted and rebuilt; unknown ones quarantine+recompile.
+_VERSION = 2
 
 _HEADER = struct.Struct("<8sIQQI")
 _LENGTH = struct.Struct("<Q")
 
 #: names, name offsets, depths, longest, parent counts, parent flat,
-#: distance counts, distance keys, distance values, ancestor offsets,
-#: ancestor blob, descendant offsets, descendant blob, descendant
-#: counts.
-_SECTIONS = 14
+#: distance counts, distance keys, distance values, descendant offsets,
+#: descendant blob, descendant counts.
+_SECTIONS = 12
 
 #: Bitset blob entries start with one of these tag bytes.
 _DENSE = 0x44  # "D": little-endian big-int bytes
@@ -112,6 +117,10 @@ _SPARSE = 0x53  # "S": int64 set-bit indices
 
 #: Buffered bitset writes are flushed past this many bytes.
 _WRITE_BUFFER = 1 << 20
+
+
+class _OutdatedArtifact(IndexArtifactError):
+    """The artifact carries an older, known format version."""
 
 
 class _ChecksumWriter:
@@ -160,22 +169,22 @@ def _transpose_descendants(maps: Iterable[Mapping[int, int]]) -> list[array]:
     return lists
 
 
-def _plan_column(stats: Iterable[tuple[int, int]],
+def _plan_column(lists: list[array],
                  ) -> tuple[bytearray, array, array, int]:
-    """Encoding plan for one bitset column.
+    """Encoding plan for the descendant bitset column.
 
-    ``stats`` yields ``(popcount, highest_set_index)`` per node —
-    derivable from the distance maps and descendant lists alone.
-    Returns the per-node tag bytes, payload lengths, end offsets, and
-    the column's total byte length.
+    ``lists`` holds each node's sorted descendant indices, which give
+    the bitset's popcount and highest set bit.  Returns the per-node
+    tag bytes, payload lengths, end offsets, and the column's total
+    byte length.
     """
     tags = bytearray()
     lengths = array("Q")
     offsets = array("Q")
     position = 0
-    for popcount, high in stats:
-        dense = (high >> 3) + 1 if high >= 0 else 0
-        sparse = 8 * popcount
+    for row in lists:
+        dense = (row[-1] >> 3) + 1 if row else 0
+        sparse = 8 * len(row)
         if sparse < dense:
             tag, body = _SPARSE, sparse
         else:
@@ -188,19 +197,18 @@ def _plan_column(stats: Iterable[tuple[int, int]],
 
 
 def _write_column(writer: _ChecksumWriter, tags: bytearray, lengths: array,
-                  sparse_bytes: Callable[[int], bytes],
-                  bigints) -> None:
-    """Stream one planned bitset column through the checksum writer.
+                  lists: list[array], bigints) -> None:
+    """Stream the planned bitset column through the checksum writer.
 
-    Sparse entries come from ``sparse_bytes`` (pre-sorted int64 index
-    payloads); dense entries — only nodes whose bitset is at least
-    1/8th full — fall back to the compiled big-int's raw bytes.
+    Sparse entries are the int64 index ``lists``; dense entries — only
+    nodes whose bitset is at least 1/8th full — fall back to the
+    compiled big-int's raw bytes.
     """
     buffer = bytearray()
     for index, tag in enumerate(tags):
         buffer.append(tag)
         if tag == _SPARSE:
-            buffer += sparse_bytes(index)
+            buffer += lists[index].tobytes()
         else:
             buffer += bigints[index].to_bytes(lengths[index], "little")
         if len(buffer) >= _WRITE_BUFFER:
@@ -245,10 +253,8 @@ def save_index(compiled: CompiledTaxonomy, path: str | Path) -> Path:
     descendant_lists = _transpose_descendants(maps)
     descendant_counts = _array_q(len(row) for row in descendant_lists)
 
-    anc_tags, anc_lengths, anc_offsets, anc_total = _plan_column(
-        (len(distances), max(distances, default=-1)) for distances in maps)
     desc_tags, desc_lengths, desc_offsets, desc_total = _plan_column(
-        (len(row), row[-1] if row else -1) for row in descendant_lists)
+        descendant_lists)
 
     def write_names(writer: _ChecksumWriter) -> None:
         buffer = bytearray()
@@ -274,15 +280,9 @@ def save_index(compiled: CompiledTaxonomy, path: str | Path) -> Path:
         array_section(distance_counts),
         array_section(distance_keys),
         array_section(distance_values),
-        array_section(anc_offsets),
-        (anc_total, lambda writer: _write_column(
-            writer, anc_tags, anc_lengths,
-            lambda index: array("q", maps[index]).tobytes(),
-            state["ancestor_bits"])),
         array_section(desc_offsets),
         (desc_total, lambda writer: _write_column(
-            writer, desc_tags, desc_lengths,
-            lambda index: descendant_lists[index].tobytes(),
+            writer, desc_tags, desc_lengths, descendant_lists,
             state["descendant_bits"])),
         array_section(descendant_counts),
     ]
@@ -403,12 +403,15 @@ def load_index(path: str | Path) -> CompiledTaxonomy:
     """Memory-load a persisted index without recompiling.
 
     Verifies the checksum and materializes the cheap columns eagerly;
-    the bitsets and ancestor-distance maps stay lazy views over the
-    kept-open mmap (released when the index is garbage-collected).
+    the descendant bitsets and ancestor-distance maps stay lazy views
+    over the kept-open mmap (released when the index is
+    garbage-collected).
 
     Raises :class:`~repro.errors.IndexArtifactError` on any corruption:
     bad magic, foreign version, truncation, checksum mismatch, or
-    malformed sections.
+    malformed sections; an older known version raises its private
+    subclass, which :class:`IndexStore` rebuilds instead of
+    quarantining.
     """
     path = Path(path)
     try:
@@ -426,6 +429,10 @@ def load_index(path: str | Path) -> CompiledTaxonomy:
             _HEADER.unpack_from(view, 0))
         if magic != _MAGIC:
             raise IndexArtifactError(f"{path} is not an index artifact")
+        if 0 < version < _VERSION:
+            raise _OutdatedArtifact(
+                f"{path}: artifact version {version} is older than "
+                f"{_VERSION}")
         if version != _VERSION or section_count != _SECTIONS:
             raise IndexArtifactError(
                 f"{path}: artifact version {version}/{section_count} does "
@@ -486,26 +493,22 @@ def load_index(path: str | Path) -> CompiledTaxonomy:
                 and distance_offsets[-1] != len(distance_keys)):
             raise IndexArtifactError(
                 f"distance sections disagree in {path}")
-        ancestor_offsets = offset_column(9)
-        ancestor_blob = section(10)
-        descendant_offsets = offset_column(11)
-        descendant_blob = section(12)
-        descendant_counts = int_column(13)
+        descendant_offsets = offset_column(9)
+        descendant_blob = section(10)
+        descendant_counts = int_column(11)
         for column in (names, depths, longest, parent_ids,
-                       distance_offsets, ancestor_offsets,
-                       descendant_offsets, descendant_counts):
+                       distance_offsets, descendant_offsets,
+                       descendant_counts):
             if len(column) != node_count:
                 raise IndexArtifactError(
                     f"column length mismatch in {path}")
-        if (ancestor_offsets and ancestor_offsets[-1] != len(ancestor_blob)
-                ) or (descendant_offsets
-                      and descendant_offsets[-1] != len(descendant_blob)):
+        if (descendant_offsets
+                and descendant_offsets[-1] != len(descendant_blob)):
             raise IndexArtifactError(
                 f"bitset blob length mismatch in {path}")
 
         compiled = CompiledTaxonomy.from_state(
             names=names, parent_ids=parent_ids,
-            ancestor_bits=_LazyBitsets(ancestor_blob, ancestor_offsets),
             ancestor_distances=_LazyDistanceMaps(
                 distance_keys, distance_values, distance_offsets),
             descendant_bits=_LazyBitsets(descendant_blob,
@@ -565,16 +568,17 @@ class IndexStore:
             pass
 
     def load_or_compile(self, parents: Mapping[str, Iterable[str]],
-                        fingerprint: str, *,
-                        memory_budget_bytes: int | None = None,
+                        fingerprint: str,
                         ) -> tuple[CompiledTaxonomy, dict]:
         """The compiled index for ``parents``, warm-started if possible.
 
         Returns ``(index, provenance)`` where provenance records whether
         the index was loaded from the persisted artifact or compiled
-        fresh (and then persisted), with the time either path took.  A
-        load failure of any kind quarantines the artifact and falls back
-        to a fresh compile — a broken artifact must never fail a run.
+        fresh (and then persisted), with the time either path took.  An
+        artifact of an older format version is deleted and rebuilt; a
+        load failure of any other kind quarantines the artifact and
+        falls back to a fresh compile — a broken artifact must never
+        fail a run.
         """
         import time
 
@@ -588,6 +592,11 @@ class IndexStore:
             try:
                 with telemetry.span("index.persist.load", path=str(path)):
                     compiled = load_index(path)
+            except _OutdatedArtifact:
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
             except (IndexArtifactError, OSError):
                 try:
                     self._quarantine(path)
@@ -606,8 +615,7 @@ class IndexStore:
                 telemetry.count("index.persist.mismatches")
         started = time.perf_counter()
         with telemetry.span("index.persist.compile", nodes=len(parents)):
-            compiled = CompiledTaxonomy.compile_incremental(
-                parents, memory_budget_bytes=memory_budget_bytes)
+            compiled = CompiledTaxonomy(parents)
         compile_seconds = time.perf_counter() - started
         try:
             with telemetry.span("index.persist.save", path=str(path)):

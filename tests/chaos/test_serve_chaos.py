@@ -214,7 +214,6 @@ class TestCacheCorruptionChaos:
 class TestIndexCorruptionChaos:
     def test_corrupt_index_artifact_self_heals(self, monkeypatch,
                                                _own_cache_dir):
-        monkeypatch.setenv("SST_INDEX_THRESHOLD", "0")
         monkeypatch.setenv("SST_INDEX_PERSIST", "0")
         with serve_in_thread(chaos_toolkit(cache=True)) as handle:
             status, _, clean = matrix(client_for(handle))

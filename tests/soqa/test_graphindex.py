@@ -2,12 +2,9 @@
 
 import pytest
 
-from repro.errors import SSTError, UnknownConceptError
+from repro.errors import OntologyParseError, SOQAError, UnknownConceptError
 from repro.soqa.graph import ANY_PATH, VIA_ANCESTOR, Taxonomy
-from repro.soqa.graphindex import (CompiledTaxonomy,
-                                   DEFAULT_INDEX_THRESHOLD,
-                                   INDEX_THRESHOLD_ENV,
-                                   resolve_index_threshold)
+from repro.soqa.graphindex import CompiledTaxonomy
 
 #      Root
 #     /    \
@@ -23,59 +20,52 @@ DIAMOND = {
 }
 
 
-class TestThresholdResolution:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(INDEX_THRESHOLD_ENV, raising=False)
-        assert resolve_index_threshold() == DEFAULT_INDEX_THRESHOLD
-
-    def test_environment_override(self, monkeypatch):
-        monkeypatch.setenv(INDEX_THRESHOLD_ENV, "7")
-        assert resolve_index_threshold() == 7
-
-    def test_argument_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(INDEX_THRESHOLD_ENV, "7")
-        assert resolve_index_threshold(3) == 3
-
-    def test_invalid_environment_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(INDEX_THRESHOLD_ENV, "many")
-        with pytest.raises(SSTError):
-            resolve_index_threshold()
-
-
 class TestLazyDelegation:
-    def test_small_taxonomy_stays_naive(self):
-        taxonomy = Taxonomy(DIAMOND)  # default threshold is 512
-        taxonomy.mrca("Left", "Right")
-        assert not taxonomy.is_compiled
-
-    def test_compiles_lazily_at_threshold(self):
-        taxonomy = Taxonomy(DIAMOND, index_threshold=5)
+    def test_first_query_compiles(self):
+        taxonomy = Taxonomy(DIAMOND)
         assert not taxonomy.is_compiled  # construction never compiles
         taxonomy.mrca("Left", "Right")
-        assert taxonomy.is_compiled
-
-    def test_zero_threshold_always_compiles(self):
-        taxonomy = Taxonomy(DIAMOND, index_threshold=0)
-        taxonomy.depth("Leaf")
-        assert taxonomy.is_compiled
-
-    def test_negative_threshold_never_compiles(self):
-        taxonomy = Taxonomy(DIAMOND, index_threshold=-1)
-        taxonomy.max_depth()
-        taxonomy.mrca("Left", "Right")
-        assert not taxonomy.is_compiled
-
-    def test_environment_threshold_applies(self, monkeypatch):
-        monkeypatch.setenv(INDEX_THRESHOLD_ENV, "2")
-        taxonomy = Taxonomy(DIAMOND)
-        assert taxonomy.index_threshold == 2
-        taxonomy.depth("Leaf")
         assert taxonomy.is_compiled
 
     def test_compile_is_idempotent(self):
         taxonomy = Taxonomy(DIAMOND)
         first = taxonomy.compile()
         assert taxonomy.compile() is first
+
+
+class TestCycles:
+    CYCLIC = {"r": (), "a": ("r", "b"), "b": ("a",)}
+
+    @staticmethod
+    def cycle_of(parents) -> list[str]:
+        """The node trail named by the error for a cyclic parent map."""
+        with pytest.raises(OntologyParseError, match="is-a cycle") as caught:
+            CompiledTaxonomy(parents)
+        return str(caught.value).split(": ", 1)[1].split(" -> ")
+
+    def test_compile_names_the_cycle(self):
+        cycle = self.cycle_of(self.CYCLIC)
+        assert cycle[0] == cycle[-1]
+        assert set(cycle) == {"a", "b"}
+
+    def test_descendant_of_a_cycle_is_not_named(self):
+        # "c" is left over by the topological pass too, but only
+        # descends from the cycle.
+        cycle = self.cycle_of({"c": ("b",), **self.CYCLIC})
+        assert set(cycle) == {"a", "b"}
+
+    def test_self_loop(self):
+        assert self.cycle_of({"x": ("x",)}) == ["x", "x"]
+
+    def test_taxonomy_query_raises_instead_of_hanging(self):
+        taxonomy = Taxonomy(self.CYCLIC)  # construction stays lazy
+        for query in (lambda: taxonomy.depth("a"),
+                      lambda: taxonomy.ancestors_with_distance("a"),
+                      lambda: taxonomy.mrca("a", "b"),
+                      lambda: taxonomy.descendant_count("r")):
+            with pytest.raises(SOQAError):
+                query()
+        assert not taxonomy.is_compiled
 
 
 class TestCompiledQueries:
@@ -100,9 +90,8 @@ class TestCompiledQueries:
 
     def test_mrca_diamond_tie_breaks_by_name(self, compiled):
         # Left and Right are both distance-2 meeting points of nowhere;
-        # for Bottom vs Bottom's uncles the tie is resolved like the
-        # naive implementation: smaller distance sum, deeper ancestor,
-        # then lexicographic name.
+        # for Bottom vs Bottom's uncles the tie is resolved by smaller
+        # distance sum, deeper ancestor, then lexicographic name.
         assert compiled.mrca("Left", "Right") == ("Root", 1, 1)
         assert compiled.mrca("Bottom", "Left") == ("Left", 1, 0)
 

@@ -6,7 +6,8 @@ columns), corruption handling (bad magic, truncation, bit flips, and
 foreign versions all raise the typed error and never a crash), and the
 self-healing :class:`~repro.soqa.indexstore.IndexStore` (quarantine +
 recompile on any broken artifact, including injected ``index.corrupt``
-faults).
+faults; delete + rebuild, without quarantine, for a version-1
+artifact).
 """
 
 import pytest
@@ -173,6 +174,25 @@ class TestIndexStore:
         assert provenance["source"] == "compiled"
         assert store.quarantined == 0
         assert compiled.nodes() == list(other)
+
+    def test_version_one_artifact_is_rebuilt_not_quarantined(self, tmp_path):
+        store = IndexStore(tmp_path)
+        store.load_or_compile(PARENTS, "f" * 64)
+        path = store.artifact_path("f" * 64)
+        blob = bytearray(path.read_bytes())
+        assert blob[8] == 2  # version field follows the 8-byte magic
+        blob[8] = 1
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IndexArtifactError, match="older"):
+            load_index(path)
+        compiled, provenance = store.load_or_compile(PARENTS, "f" * 64)
+        assert provenance["source"] == "compiled"
+        assert store.quarantined == 0
+        assert not list(tmp_path.glob("*.corrupt-*"))
+        assert path.read_bytes()[8] == 2
+        assert_same_answers(CompiledTaxonomy(PARENTS), compiled)
+        _, provenance = store.load_or_compile(PARENTS, "f" * 64)
+        assert provenance["source"] == "artifact"
 
     def test_injected_corruption_fault_self_heals(self, tmp_path):
         from repro.core.resilience import injected_faults

@@ -96,22 +96,8 @@ class TestWarmStart:
         assert "disk cache" in capsys.readouterr().err
 
 
-class TestIndexThresholdOption:
-    def test_threshold_is_exported(self, capsys, owl_file, monkeypatch):
-        import os
-
-        from repro.soqa.graphindex import INDEX_THRESHOLD_ENV
-
-        # A prior value: the flag overrides it for this one command,
-        # which restores it on the way out.
-        monkeypatch.setenv(INDEX_THRESHOLD_ENV, "512")
-        argv = ["--ontology-file", owl_file, "--index-threshold", "0",
-                "stats"]
-        assert main(argv) == 0
-        assert os.environ[INDEX_THRESHOLD_ENV] == "512"
-        out = capsys.readouterr().out
-        assert "graph index compiled (threshold 0)" in out
-
-    def test_stats_reports_naive_index_state(self, capsys, owl_file):
+class TestIndexReport:
+    def test_stats_reports_compiled_index(self, capsys, owl_file):
         assert main(["--ontology-file", owl_file, "stats"]) == 0
-        assert "graph index naive" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "graph index compiled" in out

@@ -1,9 +1,9 @@
-"""The CLI's global and batch flags stay scoped to one command.
+"""The CLI's batch flags stay scoped to one command.
 
-``--index-threshold``, ``--task-timeout``, ``--retry-budget`` and
-``--engine`` reach deep layers through their ``SST_*`` variables; an
-in-process caller of :func:`repro.cli.main` must find its environment
-exactly as it left it.
+``--task-timeout``, ``--retry-budget`` and ``--engine`` reach deep
+layers through their ``SST_*`` variables; an in-process caller of
+:func:`repro.cli.main` must find its environment exactly as it left
+it.
 """
 
 import os
@@ -13,9 +13,8 @@ import pytest
 from repro.cli import main
 from tests.conftest import MINI_OWL
 
-ALL_FLAGS = ["--index-threshold", "0", "matrix", "univ:Person",
-             "univ:Student", "--task-timeout", "30", "--retry-budget", "1",
-             "--engine", "naive"]
+ALL_FLAGS = ["matrix", "univ:Person", "univ:Student", "--task-timeout",
+             "30", "--retry-budget", "1", "--engine", "naive"]
 
 
 @pytest.fixture
@@ -29,12 +28,11 @@ def owl_file(tmp_path, monkeypatch) -> str:
 class TestScopedFlags:
     def test_stats_leaves_environ_unchanged(self, capsys, owl_file):
         before = dict(os.environ)
-        assert main(["--ontology-file", owl_file, "--index-threshold", "0",
-                     "stats"]) == 0
+        assert main(["--ontology-file", owl_file, "stats"]) == 0
         assert dict(os.environ) == before
-        assert "(threshold 0)" in capsys.readouterr().out
+        assert "graph index compiled" in capsys.readouterr().out
 
-    def test_all_four_flags_leave_environ_unchanged(self, owl_file):
+    def test_all_three_flags_leave_environ_unchanged(self, owl_file):
         before = dict(os.environ)
         assert main(["--ontology-file", owl_file, *ALL_FLAGS]) == 0
         assert dict(os.environ) == before
@@ -48,15 +46,6 @@ class TestScopedFlags:
 
     def test_restored_after_a_failing_command(self, owl_file):
         before = dict(os.environ)
-        assert main(["--ontology-file", owl_file, "--index-threshold", "0",
-                     "matrix", "univ:Nope", "univ:Person",
-                     "--engine", "naive"]) == 1
+        assert main(["--ontology-file", owl_file, "matrix", "univ:Nope",
+                     "univ:Person", "--engine", "naive"]) == 1
         assert dict(os.environ) == before
-
-    def test_threshold_does_not_reach_the_next_command(self, capsys,
-                                                       owl_file):
-        assert main(["--ontology-file", owl_file, "--index-threshold", "0",
-                     "stats"]) == 0
-        assert "graph index compiled" in capsys.readouterr().out
-        assert main(["--ontology-file", owl_file, "stats"]) == 0
-        assert "graph index naive" in capsys.readouterr().out

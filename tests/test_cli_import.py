@@ -94,8 +94,7 @@ class TestIndexProvenanceReport:
     def test_second_run_loads_the_artifact(self, capsys, owl_file,
                                            cache_dir, monkeypatch):
         monkeypatch.setenv("SST_INDEX_PERSIST", "0")
-        argv = ["--ontology-file", owl_file, "--index-threshold", "0",
-                "stats"]
+        argv = ["--ontology-file", owl_file, "stats"]
         assert main(argv) == 0
         assert "graph index compiled fresh" in capsys.readouterr().out
         assert main(argv) == 0
