@@ -18,11 +18,9 @@ it, and it is also the L2 row's column tuple, so no tier re-keys a
 pair.  Strings cache their hash, so no lookup runs a Python-level
 ``__hash__``.
 
-The batch path is set-at-a-time: :meth:`CachedRunner.bulk_lookup`
-sends every distinct L1 miss of a kernel batch to the L2 in one
-:meth:`~repro.core.diskcache.DiskCache.get_many` call, and
-:meth:`CachedRunner.bulk_store` builds each L2 row once.  Single pairs
-(:meth:`CachedRunner.run`) keep the one-row lookup.
+The facade wraps only the runners that the batch kernel
+(:mod:`repro.core.kernel`) cannot score: for the graph measures a fresh
+kernel score costs less than a lookup in either tier.
 """
 
 from __future__ import annotations
@@ -170,91 +168,6 @@ class CachedRunner(MeasureRunner):
         if self.l2 is not None:
             self.l2.put(self.fingerprint, self.name, *key, value)
         return value
-
-    def bulk_lookup(self, pairs):
-        """Serve a whole batch of pairs from the L1/L2 tiers at once.
-
-        Returns ``(values, pending)``: ``values`` has one slot per
-        input pair (``None`` where no tier had it), and ``pending``
-        maps each *distinct* missing cache key to the positions it
-        must fill.  The caller computes the pending keys (one kernel
-        batch), then hands ``(key, value)`` pairs to
-        :meth:`bulk_store`.  All distinct L1 misses go to the L2 in
-        one batched read.
-
-        Counter bookkeeping is per-pair-equivalent: every pair counts
-        exactly one L1 hit or miss, and every distinct missing key
-        exactly one L2 hit or miss — duplicate occurrences of a
-        missing key count as L1 *hits*, just as the sequential
-        per-pair loop (which stores the first occurrence before
-        looking up the second) would have counted them.
-        """
-        values: list[float | None] = [None] * len(pairs)
-        pending: dict[tuple, list[int]] = {}
-        l1_hits = l1_misses = 0
-        key_of = self._key
-        table = self._table
-        with self._lock:
-            for position, (first, second) in enumerate(pairs):
-                key = key_of(first, second)
-                cached = table.get(key)
-                if cached is not None:
-                    l1_hits += 1
-                    table.move_to_end(key)
-                    values[position] = cached
-                elif key in pending:
-                    l1_hits += 1
-                    pending[key].append(position)
-                else:
-                    l1_misses += 1
-                    pending[key] = [position]
-            self.hits += l1_hits
-            self.misses += l1_misses
-        if l1_hits:
-            telemetry.count("cache.l1.hits", l1_hits)
-        if l1_misses:
-            telemetry.count("cache.l1.misses", l1_misses)
-        if self.l2 is not None and pending:
-            # One set-at-a-time L2 read for every distinct missing key;
-            # the cache key is the L2 column tuple itself.
-            stored = self.l2.get_many(self.fingerprint, self.name, pending)
-            l2_hits = len(stored)
-            l2_misses = len(pending) - l2_hits
-            with self._lock:
-                self.l2_hits += l2_hits
-                self.l2_misses += l2_misses
-                for key, value in stored.items():
-                    table[key] = value
-                    for position in pending.pop(key):
-                        values[position] = value
-                while len(table) > self.capacity:
-                    table.popitem(last=False)
-            if l2_hits:
-                telemetry.count("cache.l2.hits", l2_hits)
-                telemetry.count("cache.l1.stores", l2_hits)
-            if l2_misses:
-                telemetry.count("cache.l2.misses", l2_misses)
-        return values, pending
-
-    def bulk_store(self, entries) -> None:
-        """Store freshly computed ``(key, value)`` pairs in both tiers.
-
-        The batch-side counterpart of the store half of :meth:`run`:
-        one ``cache.l1.stores`` per entry, and the same L2 ``put``
-        semantics (buffered in the parent, silently dropped in forked
-        read-only workers — whose entries the parent re-stores via
-        :meth:`merge`, the single L2 writer).
-        """
-        entries = list(entries)
-        if not entries:
-            return
-        with self._lock:
-            self._table.update(entries)
-            while len(self._table) > self.capacity:
-                self._table.popitem(last=False)
-        telemetry.count("cache.l1.stores", len(entries))
-        if self.l2 is not None:
-            self.l2.put_many(self._l2_rows(entries))
 
     def _l2_rows(self, entries) -> list[tuple]:
         """The L2 rows of ``(key, value)`` entries, each built once."""

@@ -13,6 +13,12 @@ editing any ontology (or switching strategies) invalidates its entries
 without touching the others — stale rows are simply never read again
 and can be dropped with ``sst cache clear``.
 
+Only measures without a kernel batch form (tree edit, TF-IDF, the
+string and vector measures, custom runners) are stored: the facade
+scores the graph measures with the batch kernel of
+:mod:`repro.core.kernel`, which is faster than a lookup, and never
+caches them.  ``sst cache stats`` therefore counts per-pair rows only.
+
 The L2 is one file, ``<cache dir>/similarity-cache.sqlite``.  Every
 query of a facade runs over one unified tree, so a CLI run or ``sst
 serve`` process reads and writes a single corpus fingerprint; all
@@ -27,11 +33,6 @@ buffered writes flushed in batches.  Forked process-strategy workers
 treat the cache as read-only — their fresh scores travel back to the
 parent through the existing ``CachedRunner.merge`` delta path, and the
 parent persists them exactly once.
-
-Reads are set-at-a-time on the batch path: :meth:`DiskCache.get_many`
-answers a whole kernel batch's misses with one primary-key join per
-chunk of keys, while single-pair lookups keep the one-row
-:meth:`DiskCache.get`.
 
 Self-healing: an L2 problem must never fail a run — at worst it costs
 the warm start.  A file stamped with an older schema version is
@@ -50,12 +51,10 @@ succeeds again.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import os
 import sqlite3
 import threading
-from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
@@ -83,27 +82,6 @@ _SCHEMA_VERSION = 2
 _FLUSH_THRESHOLD = 256
 
 _FINGERPRINT_FORMAT = "sst-corpus-fingerprint/2"
-
-#: Keys per batched read statement: four bound parameters each, well
-#: under sqlite's historical 999-parameter limit.
-_PROBE_CHUNK = 200
-
-
-@functools.lru_cache(maxsize=4)
-def _probe_sql(rows: int) -> str:
-    """The batched-read statement for ``rows`` probe keys.
-
-    Probe row ``i`` carries its chunk-local position as a literal, so
-    every full chunk shares one statement text (and sqlite's statement
-    cache) and results map back to keys without re-hashing them.
-    """
-    probes = ",".join(f"({i},?,?,?,?)" for i in range(rows))
-    return (f"WITH probe(i, a, b, c, d) AS (VALUES {probes})"
-            " SELECT probe.i, s.value FROM probe CROSS JOIN similarity AS s"
-            f" ON s.schema_version={_SCHEMA_VERSION}"
-            " AND s.fingerprint=? AND s.measure=?"
-            " AND s.first_ontology=probe.a AND s.first_concept=probe.b"
-            " AND s.second_ontology=probe.c AND s.second_concept=probe.d")
 
 
 def default_cache_directory() -> Path:
@@ -403,46 +381,6 @@ class DiskCache:
                 return None  # a broken cache must never break scoring
         self.breaker.record_success()
         return row[0] if row is not None else None
-
-    def get_many(self, fingerprint: str, measure: str,
-                 keys: Iterable[tuple[str, str, str, str]],
-                 ) -> dict[tuple[str, str, str, str], float]:
-        """The stored scores of many canonicalized pairs at once.
-
-        ``keys`` are ``(first ontology, first concept, second ontology,
-        second concept)`` tuples; the result maps each key that has a
-        row to its score (misses are simply absent).  One statement
-        per chunk of :data:`_PROBE_CHUNK` keys joins the probe rows
-        against the primary key; the ``CROSS JOIN`` pins the probe as
-        the outer loop, so each probe costs one index search however
-        large the table grows.  Same fail-open contract as :meth:`get`:
-        any error reads as all misses.
-        """
-        keys = list(keys)
-        if not keys:
-            return {}
-        if not self.breaker.allow():
-            telemetry.count("cache.l2.failopen")
-            return {}
-        found: dict[tuple[str, str, str, str], float] = {}
-        with self._lock:
-            try:
-                connection = self._connect()
-                for start in range(0, len(keys), _PROBE_CHUNK):
-                    chunk = keys[start:start + _PROBE_CHUNK]
-                    parameters = list(chain.from_iterable(chunk))
-                    parameters += (fingerprint, measure)
-                    for index, value in connection.execute(
-                            _probe_sql(len(chunk)), parameters):
-                        found[chunk[index]] = value
-            except sqlite3.DatabaseError:
-                self._heal()  # quarantine now; next access rebuilds
-                return {}
-            except (SSTCoreError, sqlite3.Error):
-                self.breaker.record_failure()
-                return {}  # a broken cache must never break scoring
-        self.breaker.record_success()
-        return found
 
     # -- writes -------------------------------------------------------------------
 

@@ -26,6 +26,7 @@ from repro.core import telemetry
 from repro.core.cache import CachedRunner
 from repro.core.diskcache import (DiskCache, caching_disabled,
                                   corpus_fingerprint)
+from repro.core.kernel import batchable
 from repro.core.parallel import BatchSimilarityEngine
 from repro.core.registry import Measure, RunnerRegistry, TABLE1_MEASURES
 from repro.core.results import ConceptAndSimilarity, QualifiedConcept
@@ -255,20 +256,24 @@ class SOQASimPackToolkit:
             return self._fingerprint
 
     def runner(self, measure: int | str | Measure) -> MeasureRunner:
-        """The (cached) runner instance for a measure.
+        """The runner instance for a measure, built once per refresh.
 
-        Unless caching is disabled, the raw runner is wrapped in a
+        Unless caching is disabled, a runner the batch kernel cannot
+        score (tree edit, TF-IDF, the string measures, an IC measure off
+        the subclasses estimator, a custom runner) is wrapped in a
         :class:`~repro.core.cache.CachedRunner` (with the persistent L2
         tier attached when configured), so every facade service —
         matrices, k-most retrievals, alignment — shares one memo per
-        measure.
+        measure.  The nine graph measures stay raw: the kernel of
+        :mod:`repro.core.kernel` scores them faster than either tier
+        could look them up or store them.
         """
         measure_id = self.registry.resolve(measure)
         with self._lazy_lock:
             runner = self._runners.get(measure_id)
             if runner is None:
                 runner = self.registry.create(measure_id, self.wrapper)
-                if self._cache_enabled:
+                if self._cache_enabled and not batchable(runner):
                     l2 = self.disk_cache
                     runner = CachedRunner(
                         runner, capacity=self.cache_capacity, l2=l2,
@@ -297,9 +302,12 @@ class SOQASimPackToolkit:
                    "hit_rate": l1_hits / l1_total if l1_total else 0.0},
             "l2": None,
         }
-        if self._disk_cache is not None:
+        # The configured L2, even when only kernel measures ran and
+        # none of them touched it.
+        l2 = self.disk_cache
+        if l2 is not None:
             statistics["l2"] = {
-                "path": str(self._disk_cache.directory),
+                "path": str(l2.directory),
                 "hits": l2_hits, "misses": l2_misses,
                 "hit_rate": l2_hits / l2_total if l2_total else 0.0,
             }
@@ -701,7 +709,6 @@ class SOQASimPackToolkit:
             runner = self.runner(measure)
             if not runner.is_normalized():
                 runner = self.runner(Measure.RESNIK_NORMALIZED)
-            chart.series[runner.name] = [
-                runner.run(first_q, second_q)
-                for first_q, second_q in qualified_pairs]
+            chart.series[runner.name] = BatchSimilarityEngine(
+                runner).score_pairs(qualified_pairs)
         return chart

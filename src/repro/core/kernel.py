@@ -521,7 +521,8 @@ def prime(runner: MeasureRunner) -> None:
     Called in the parent before forking process workers, so the
     exported tables and the IC column are inherited copy-on-write
     instead of being rebuilt once per worker.  No-op for runners
-    without a batch form.
+    without a batch form; a :class:`~repro.core.cache.CachedRunner` is
+    primed through its inner runner.
     """
     inner = _unwrap(runner)
     if not batchable(inner):
@@ -535,34 +536,13 @@ def try_batch(runner: MeasureRunner, pairs: Sequence) -> list[float] | None:
     """Batch-score ``pairs`` if the runner has a batch form.
 
     Returns ``None`` when it does not (the caller falls back to the
-    per-pair loop).  A :class:`~repro.core.cache.CachedRunner` is
-    served through its bulk lookup/store path with per-pair-equivalent
-    counter bookkeeping, so warm runs skip the kernel per cached pair
-    and cold runs compute each distinct pair exactly once.
+    per-pair loop).  The kernel scores a batch faster than either cache
+    tier could look it up or store it, so a
+    :class:`~repro.core.cache.CachedRunner` around a batchable runner
+    is scored by its inner runner: its L1, L2 and hit counters are left
+    untouched.  The facade never builds such a wrapper.
     """
     inner = _unwrap(runner)
     if not batchable(inner):
         return None
-    kernel = inner.wrapper.kernel()
-    if not isinstance(runner, CachedRunner):
-        return kernel.batch(inner, pairs)
-    values, pending = runner.bulk_lookup(pairs)
-    if pending:
-        keys = list(pending)
-        computed = kernel.batch(inner, _canonical_pairs(pairs, pending))
-        runner.bulk_store(zip(keys, computed))
-        for key, value in zip(keys, computed):
-            for position in pending[key]:
-                values[position] = value
-    return values
-
-
-def _canonical_pairs(pairs: Sequence, pending: dict) -> list[tuple]:
-    """Each pending key's first input pair, in the key's order."""
-    canonical = []
-    for (ontology, concept, _, _), positions in pending.items():
-        first, second = pair = pairs[positions[0]]
-        canonical.append(pair if first.concept_name == concept
-                         and first.ontology_name == ontology
-                         else (second, first))
-    return canonical
+    return inner.wrapper.kernel().batch(inner, pairs)

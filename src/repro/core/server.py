@@ -7,8 +7,8 @@ for many clients.  This module is that service: a stdlib-only
 HTTP/JSON server on :func:`asyncio.start_server` that
 
 * loads ontologies **once** (including ``.sstdb`` sqlite stores) and
-  shares the facade — CompiledTaxonomy tables, SimilarityKernel,
-  CachedRunner L1/L2 — across all requests,
+  shares the facade — CompiledTaxonomy tables, SimilarityKernel, the
+  per-pair measures' CachedRunner L1/L2 — across all requests,
 * **coalesces** duplicate in-flight pair queries across requests
   (:class:`PairGate`): the first request computes, everyone else waits
   on the same slot, counted as ``server.coalesced``,

@@ -20,6 +20,10 @@ from repro.core import telemetry
 #: A fault-free serial matrix over a small slice of the paper corpus.
 MATRIX_ARGS = ["matrix", "--from-ontology", "COURSES", "--limit", "8"]
 
+#: The same matrix under TFIDF, which has no kernel batch form and so
+#: reads and writes the L2 (kernel measures are never cached).
+CACHED_MATRIX_ARGS = MATRIX_ARGS + ["-m", "TFIDF"]
+
 #: The same matrix forced through the supervised process strategy.
 PARALLEL = ["--workers", "2", "--strategy", "process"]
 
@@ -80,11 +84,20 @@ class TestTimeoutChaos:
 
 
 class TestCacheCorruptionChaos:
+    @pytest.fixture
+    def baseline(self, capsys):
+        """Stdout of the clean serial TFIDF run, which builds the L2."""
+        assert main(CACHED_MATRIX_ARGS) == 0
+        output = capsys.readouterr().out
+        assert output.strip()
+        return output
+
     def test_corrupt_l2_is_quarantined_mid_command(self, baseline, capsys,
                                                    _own_cache_dir):
         # The baseline run built a healthy sqlite file; the fault
         # scribbles over it at the next connect.
-        code = main(["--inject-faults", "cache.corrupt=1"] + MATRIX_ARGS)
+        code = main(["--inject-faults", "cache.corrupt=1"]
+                    + CACHED_MATRIX_ARGS)
         assert code == 0
         assert capsys.readouterr().out == baseline
         assert counter("cache.l2.quarantined") == 1
@@ -95,7 +108,8 @@ class TestCacheCorruptionChaos:
     def test_everything_at_once(self, baseline, capsys, _own_cache_dir):
         spec = "worker.crash=99,cache.corrupt=1,loader.io=1"
         code = main(["--inject-faults", spec]
-                    + MATRIX_ARGS + PARALLEL + ["--retry-budget", "0"])
+                    + CACHED_MATRIX_ARGS + PARALLEL
+                    + ["--retry-budget", "0"])
         assert code == 0
         assert capsys.readouterr().out == baseline
         assert counter("resilience.degraded") >= 1

@@ -30,6 +30,10 @@ NAMES = sorted(DAG)
 PAYLOAD = {"concepts": [["chaos", name] for name in NAMES[:8]],
            "measure": int(Measure.SHORTEST_PATH)}
 
+#: The same matrix under a per-pair measure, which reads and writes the
+#: L2 (the kernel's graph measures are never cached).
+CACHED_PAYLOAD = dict(PAYLOAD, measure=int(Measure.NAME_LEVENSHTEIN))
+
 
 @pytest.fixture(autouse=True)
 def _own_cache_dir(tmp_path, monkeypatch):
@@ -43,8 +47,8 @@ def chaos_toolkit(cache: bool = False):
     return dag_toolkit({"chaos": DAG}, cache=cache)
 
 
-def matrix(client) -> tuple[int, dict, bytes]:
-    return client.post_json("/v1/similarity", PAYLOAD)
+def matrix(client, payload=PAYLOAD) -> tuple[int, dict, bytes]:
+    return client.post_json("/v1/similarity", payload)
 
 
 class TestSlowRequestChaos:
@@ -196,7 +200,7 @@ class TestCacheCorruptionChaos:
     def test_corrupt_l2_is_quarantined_between_boots(self,
                                                      _own_cache_dir):
         with serve_in_thread(chaos_toolkit(cache=True)) as handle:
-            status, _, clean = matrix(client_for(handle))
+            status, _, clean = matrix(client_for(handle), CACHED_PAYLOAD)
             assert status == 200
             handle.service.toolkit.flush_caches()
         quarantined = counter("cache.l2.quarantined")
@@ -204,7 +208,7 @@ class TestCacheCorruptionChaos:
             # A fresh boot over the (scribbled-at-connect) store must
             # quarantine the L2 file and recompute the same bytes.
             with serve_in_thread(chaos_toolkit(cache=True)) as handle:
-                status, _, body = matrix(client_for(handle))
+                status, _, body = matrix(client_for(handle), CACHED_PAYLOAD)
                 assert status == 200, body
                 assert body == clean
         assert counter("cache.l2.quarantined") == quarantined + 1
@@ -249,7 +253,7 @@ class TestChaosVisibility:
 
     def test_everything_at_once_under_traffic(self, _own_cache_dir):
         with serve_in_thread(chaos_toolkit(cache=True)) as handle:
-            status, _, clean = matrix(client_for(handle))
+            status, _, clean = matrix(client_for(handle), CACHED_PAYLOAD)
             assert status == 200
             handle.service.toolkit.flush_caches()
         quarantined = counter("cache.l2.quarantined")
@@ -258,12 +262,12 @@ class TestChaosVisibility:
             with serve_in_thread(chaos_toolkit(cache=True),
                                  config) as handle:
                 client = client_for(handle)
-                status, _, body = matrix(client)
+                status, _, body = matrix(client, CACHED_PAYLOAD)
                 assert status == 504, body
                 # Quotas spent, L2 quarantined: service recovers to
                 # the exact clean bytes without a restart.
                 for _ in range(50):
-                    status, _, body = matrix(client)
+                    status, _, body = matrix(client, CACHED_PAYLOAD)
                     if status == 200:
                         break
                     time.sleep(0.1)

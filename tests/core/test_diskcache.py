@@ -14,6 +14,14 @@ from repro.core.facade import SOQASimPackToolkit
 from repro.core.registry import Measure
 from repro.core.resilience import injected_faults
 from repro.core.results import QualifiedConcept
+from repro.core.runners import LinRunner
+
+#: The measures the batch kernel scores; the facade never caches them.
+KERNEL_MEASURES = (
+    Measure.CONCEPTUAL_SIMILARITY, Measure.SHORTEST_PATH, Measure.EDGE,
+    Measure.LEACOCK_CHODOROW, Measure.LIN, Measure.RESNIK,
+    Measure.RESNIK_NORMALIZED, Measure.JIANG_CONRATH, Measure.EXTENSIONAL,
+)
 
 PROFESSOR = QualifiedConcept("univ", "Professor")
 STUDENT = QualifiedConcept("univ", "Student")
@@ -120,14 +128,14 @@ class TestMaintenance:
             assert cache.get(*item[:6]) == item[6]
         assert cache.stats()["fingerprints"] == 2
 
-    def test_get_many_returns_only_the_asked_fingerprint(self, cache):
+    def test_get_returns_only_the_asked_fingerprint(self, cache):
         rows = [_row(FP_A, f"a{i}", i / 10) for i in range(3)]
         cache.put_many(rows + [_row(FP_B, "a0", 0.9)])
         cache.flush()
         keys = [item[2:6] for item in rows] + [("ont", "z", "ont", "z")]
-        assert cache.get_many(FP_A, "Lin", keys) \
+        assert _per_key(cache, FP_A, "Lin", keys) \
             == {item[2:6]: item[6] for item in rows}
-        assert cache.get_many(FP_B, "Lin", keys) == {keys[0]: 0.9}
+        assert _per_key(cache, FP_B, "Lin", keys) == {keys[0]: 0.9}
 
     def test_stats_counts_the_file(self, cache):
         cache.put_many(_rows(FP_A, 3))
@@ -357,33 +365,11 @@ def _per_key(cache: DiskCache, fingerprint: str, measure: str, keys) -> dict:
 
 
 class TestGetMany:
-    def test_parity_with_per_key_get(self, cache):
-        stored = _keys(30)
-        _store(cache, "fp", "m", stored[::2])
-        # Same pairs under another fingerprint and another measure must
-        # never leak into the answer.
-        _store(cache, "fp-other", "m", stored, base=5.0)
-        _store(cache, "fp", "m-other", stored, base=9.0)
-        probe = stored + _keys(5, prefix="missing")
-        batched = cache.get_many("fp", "m", probe)
-        assert batched == _per_key(cache, "fp", "m", probe)
-        assert len(batched) == 15
-        assert cache.get_many("fp", "m-other", probe) \
-            == _per_key(cache, "fp", "m-other", probe)
-        assert cache.get_many("fp-unknown", "m", probe) == {}
+    """The read contract of ``get``, the one L2 read path.
 
-    @pytest.mark.parametrize("count", [
-        0, 1, diskcache._PROBE_CHUNK, diskcache._PROBE_CHUNK + 1])
-    def test_chunk_edges(self, cache, count):
-        # Four parameters per probe row plus two per statement must fit
-        # sqlite's historical host-parameter limit.
-        assert diskcache._PROBE_CHUNK * 4 + 2 <= 999
-        # Exactly ``count`` probes, every other one a miss.
-        keys = _keys(count)
-        _store(cache, "fp", "m", keys[::2])
-        batched = cache.get_many("fp", "m", keys)
-        assert batched == _per_key(cache, "fp", "m", keys)
-        assert len(batched) == (count + 1) // 2
+    Awkward names, fail-open, quarantine on open, healing mid-run,
+    reads from a forked child, and one primary-key search per lookup.
+    """
 
     def test_awkward_names(self, cache):
         keys = [("ont:with:colons", "it's \"quoted\"", "o2", "b"),
@@ -391,15 +377,8 @@ class TestGetMany:
                 ("o", "a'); DROP TABLE similarity; --", "o", "z"),
                 ("", "", "o", "?")]
         _store(cache, "fp", "m", keys)
-        assert cache.get_many("fp", "m", keys) \
-            == _per_key(cache, "fp", "m", keys)
-        assert len(cache.get_many("fp", "m", keys)) == len(keys)
-
-    def test_duplicate_keys_answer_once(self, cache):
-        keys = _keys(3)
-        _store(cache, "fp", "m", keys)
-        assert cache.get_many("fp", "m", keys + keys) \
-            == _per_key(cache, "fp", "m", keys)
+        assert _per_key(cache, "fp", "m", keys) \
+            == {key: index / 1000 for index, key in enumerate(keys)}
 
     def test_breaker_open_fails_open(self, cache):
         keys = _keys(4)
@@ -408,7 +387,7 @@ class TestGetMany:
             cache.breaker.record_failure()
         assert cache.breaker.state == cache.breaker.OPEN
         telemetry.reset()
-        assert cache.get_many("fp", "m", keys) == {}
+        assert cache.get("fp", "m", *keys[0]) is None
         assert telemetry.get_registry().value("cache.l2.failopen") == 1
 
     def test_corrupt_file_on_open_is_quarantined(self, cache):
@@ -417,7 +396,7 @@ class TestGetMany:
         cache.close()
         cache.path.write_bytes(b"torn write garbage\0" * 16)
         telemetry.reset()
-        assert cache.get_many("fp", "m", keys) == {}
+        assert _per_key(cache, "fp", "m", keys) == {}
         assert cache.quarantined == 1
         assert telemetry.get_registry().value("cache.l2.quarantined") == 1
 
@@ -434,26 +413,26 @@ class TestGetMany:
                 pass
 
         cache._connection = Broken()
-        assert cache.get_many("fp", "m", keys) == {}
+        assert cache.get("fp", "m", *keys[0]) is None
         assert cache.quarantined == 1
         assert cache._connection is None
         assert len(list(cache.directory.glob("*.corrupt-*"))) == 1
         # The next access rebuilds a fresh, working database.
         _store(cache, "fp", "m", keys[:2], base=0.5)
-        assert cache.get_many("fp", "m", keys) \
+        assert _per_key(cache, "fp", "m", keys) \
             == {keys[0]: 0.5, keys[1]: 0.501}
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_reads_from_forked_child(self, cache):
         keys = _keys(5)
         _store(cache, "fp", "m", keys)
-        expected = cache.get_many("fp", "m", keys)  # parent connection open
+        expected = _per_key(cache, "fp", "m", keys)  # parent connection open
         reader, writer = os.pipe()
         pid = os.fork()
         if pid == 0:  # pragma: no cover - runs in the child
             code = 1
             try:
-                found = cache.get_many("fp", "m", keys)
+                found = _per_key(cache, "fp", "m", keys)
                 payload = json.dumps(sorted(
                     [list(key), value] for key, value in found.items()))
                 os.write(writer, payload.encode())
@@ -467,30 +446,37 @@ class TestGetMany:
         assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
         child = {tuple(key): value for key, value in json.loads(payload)}
         assert child == expected
+        assert len(expected) == len(keys)
         # The parent's own connection still serves after the fork.
-        assert cache.get_many("fp", "m", keys) == expected
+        assert _per_key(cache, "fp", "m", keys) == expected
 
     def test_query_plan_probes_the_primary_key(self, cache):
-        # A planner that scans ``similarity`` instead (an unforced join
-        # did, at 20k keys: 53 s) must fail here, not in production.
+        # A lookup that scans ``similarity`` would grow with the file;
+        # it must stay one primary-key search.
         keys = _keys(300)
         _store(cache, "fp", "m", keys)
         connection = cache._connect()
         connection.execute("ANALYZE")
-        rows = 3
-        parameters = ["x"] * (4 * rows) + ["fp", "m"]
+        statements = []
+
+        class Recorder:
+            def execute(self, sql, parameters=()):
+                statements.append((sql, parameters))
+                return connection.execute(sql, parameters)
+
+        cache._connection = Recorder()
+        try:
+            assert cache.get("fp", "m", *keys[0]) == 0.0
+        finally:
+            cache._connection = connection
+        ((sql, parameters),) = statements
         plan = [row[3] for row in connection.execute(
-            "EXPLAIN QUERY PLAN " + diskcache._probe_sql(rows), parameters)]
-        scans = [step for step in plan if step.startswith("SCAN")]
-        assert any(step.startswith("SCAN probe") for step in scans)
-        assert not any("similarity" in step or step.startswith("SCAN s")
-                       for step in scans)
-        searches = [step for step in plan if step.startswith("SEARCH s ")]
-        assert len(searches) == 1
-        assert searches[0].endswith(
-            "(schema_version=? AND fingerprint=? AND measure=?"
-            " AND first_ontology=? AND first_concept=?"
-            " AND second_ontology=? AND second_concept=?)")
+            "EXPLAIN QUERY PLAN " + sql, parameters)]
+        assert not any(step.startswith("SCAN") for step in plan)
+        assert plan == ["SEARCH similarity USING PRIMARY KEY"
+                        " (schema_version=? AND fingerprint=? AND measure=?"
+                        " AND first_ontology=? AND first_concept=?"
+                        " AND second_ontology=? AND second_concept=?)"]
 
 
 class TestCorpusFingerprint:
@@ -575,42 +561,80 @@ class TestCachedRunnerL2:
 
 class TestFacadeWiring:
     def test_facade_runners_are_cached(self, mini_sst):
-        runner = mini_sst.runner(Measure.SHORTEST_PATH)
+        runner = mini_sst.runner(Measure.TFIDF)
         assert isinstance(runner, CachedRunner)
         assert runner.l2 is not None  # SST_CACHE_DIR is set in tests
 
     def test_cache_false_returns_raw_runner(self, mini_soqa):
         sst = SOQASimPackToolkit(mini_soqa, cache=False)
-        assert not isinstance(sst.runner(Measure.SHORTEST_PATH),
+        assert not isinstance(sst.runner(Measure.TFIDF),
                               CachedRunner)
         assert sst.disk_cache is None
 
     def test_no_cache_environment_disables(self, mini_soqa, monkeypatch):
         monkeypatch.setenv("SST_NO_CACHE", "1")
         sst = SOQASimPackToolkit(mini_soqa)
-        assert not isinstance(sst.runner(Measure.SHORTEST_PATH),
+        assert not isinstance(sst.runner(Measure.TFIDF),
                               CachedRunner)
 
     def test_warm_start_across_facades(self, mini_soqa, tmp_path):
         directory = tmp_path / "shared"
         cold = SOQASimPackToolkit(mini_soqa, cache_dir=directory)
         value = cold.get_similarity("Professor", "univ", "Student", "univ",
-                                    Measure.SHORTEST_PATH)
+                                    Measure.TFIDF)
         cold.flush_caches()
         warm = SOQASimPackToolkit(mini_soqa, cache_dir=directory)
         assert warm.get_similarity("Professor", "univ", "Student", "univ",
-                                   Measure.SHORTEST_PATH) == value
-        runner = warm.runner(Measure.SHORTEST_PATH)
+                                   Measure.TFIDF) == value
+        runner = warm.runner(Measure.TFIDF)
         assert runner.l2_hits == 1
 
     def test_cache_statistics_shape(self, mini_sst):
         mini_sst.get_similarity("Professor", "univ", "Student", "univ",
-                                Measure.SHORTEST_PATH)
+                                Measure.TFIDF)
         statistics = mini_sst.cache_statistics()
         assert statistics["enabled"] is True
         assert statistics["l1"]["misses"] >= 1
         assert statistics["l2"] is not None
         assert "hit_rate" in statistics["l2"]
+
+    def test_kernel_measures_are_never_cached(self, mini_soqa, tmp_path):
+        sst = SOQASimPackToolkit(mini_soqa, cache_dir=tmp_path / "l2")
+        for measure in KERNEL_MEASURES:
+            assert not isinstance(sst.runner(measure), CachedRunner)
+        assert isinstance(sst.runner(Measure.TFIDF), CachedRunner)
+        concepts = [("univ", "Professor"), ("univ", "Student"),
+                    ("univ", "Course"), ("MINI", "EMPLOYEE")]
+        for measure in KERNEL_MEASURES:
+            sst.get_similarity_matrix(concepts, measure)
+            sst.get_most_similar_concepts("Professor", "univ", k=3,
+                                          measure=measure)
+            sst.get_similarity("Professor", "univ", "Student", "univ",
+                               measure)
+        sst.flush_caches()
+        assert sst.disk_cache.stats()["entries"] == 0
+        statistics = sst.cache_statistics()
+        assert statistics["l1"] == {
+            "hits": 0, "misses": 0, "entries": 0, "hit_rate": 0.0}
+        # The untouched L2 is still reported as configured.
+        assert statistics["l2"] == {
+            "path": str(tmp_path / "l2"), "hits": 0, "misses": 0,
+            "hit_rate": 0.0}
+
+    def test_ic_runner_off_the_subclasses_estimator_is_cached(
+            self, mini_soqa, tmp_path):
+        # The kernel only replicates the subclasses estimator, so an IC
+        # runner retargeted at instances has no batch form to bypass.
+        def lin_on_instances(wrapper):
+            runner = LinRunner(wrapper)
+            runner.ic_source = "instances"
+            return runner
+
+        sst = SOQASimPackToolkit(mini_soqa, cache_dir=tmp_path / "l2")
+        measure = sst.register_measure_runner("Lin (instances)",
+                                              lin_on_instances)
+        assert isinstance(sst.runner(measure), CachedRunner)
+        assert not isinstance(sst.runner(Measure.LIN), CachedRunner)
 
     def test_refresh_recomputes_fingerprint(self, mini_sst):
         before = mini_sst.fingerprint()

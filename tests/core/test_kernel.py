@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import kernel, telemetry
 from repro.core.cache import CachedRunner
+from repro.core.diskcache import DiskCache
 from repro.core.facade import SOQASimPackToolkit
 from repro.core.parallel import BatchSimilarityEngine
 from repro.core.registry import Measure
@@ -90,10 +91,8 @@ class TestNumpyProbe:
 class TestBatchability:
     def test_batchable_measures(self, mini_sst):
         for measure in BATCHABLE_MEASURES:
-            runner = mini_sst.runner(measure)
-            inner = runner.inner if isinstance(runner, CachedRunner) \
-                else runner
-            assert kernel.batchable(inner), measure
+            # The facade never caches a measure the kernel can batch.
+            assert kernel.batchable(mini_sst.runner(measure)), measure
 
     def test_non_graph_measures_fall_back(self, mini_sst):
         for measure in (Measure.LEVENSHTEIN, Measure.TFIDF,
@@ -137,9 +136,7 @@ class TestParity:
     @pytest.mark.parametrize("measure", BATCHABLE_MEASURES,
                              ids=[m.name for m in BATCHABLE_MEASURES])
     def test_uncached_direct_batch_bit_identical(self, mini_sst, measure):
-        runner = mini_sst.runner(measure)
-        inner = runner.inner if isinstance(runner, CachedRunner) \
-            else runner
+        inner = mini_sst.runner(measure)
         concepts = _qualified_panel()
         pairs = [(a, b) for a in concepts for b in concepts]
         batched = kernel.try_batch(inner, pairs)
@@ -191,9 +188,7 @@ class TestEdgeCases:
     def test_cross_ontology_pairs(self, mini_sst):
         professor = QualifiedConcept("univ", "Professor")
         employee = QualifiedConcept("MINI", "EMPLOYEE")
-        runner = mini_sst.runner(Measure.CONCEPTUAL_SIMILARITY)
-        inner = runner.inner if isinstance(runner, CachedRunner) \
-            else runner
+        inner = mini_sst.runner(Measure.CONCEPTUAL_SIMILARITY)
         batched = kernel.try_batch(inner, [(professor, employee)])
         assert batched == [inner.run(professor, employee)]
         # Cross-ontology concepts only meet at Super Thing, but Wu &
@@ -256,76 +251,46 @@ class TestWrapperIntegration:
 class TestCachedBatches:
     @pytest.fixture
     def cached(self, mini_sst):
-        runner = mini_sst.runner(Measure.SHORTEST_PATH)
-        return CachedRunner(runner.inner if isinstance(runner, CachedRunner)
-                            else runner)
+        return CachedRunner(mini_sst.runner(Measure.SHORTEST_PATH))
 
-    def test_cold_bulk_lookup_reports_all_pending(self, cached):
-        concepts = _qualified_panel()
-        pairs = [(concepts[0], concepts[1]), (concepts[0], concepts[2])]
-        values, pending = cached.bulk_lookup(pairs)
-        assert values == [None, None]
-        assert sorted(positions for positions in pending.values()) \
-            == [[0], [1]]
-        assert cached.misses == 2 and cached.hits == 0
-
-    def test_duplicate_pairs_count_as_hits(self, cached):
-        concepts = _qualified_panel()
-        pair = (concepts[0], concepts[1])
-        mirrored = (concepts[1], concepts[0])
-        values, pending = cached.bulk_lookup([pair, mirrored, pair])
-        assert values == [None, None, None]
-        # One distinct key; the second and third occurrences are the
-        # hits the sequential loop would have scored.
-        assert len(pending) == 1
-        assert list(pending.values()) == [[0, 1, 2]]
-        assert cached.misses == 1 and cached.hits == 2
-
-    def test_bulk_store_then_warm_lookup(self, cached):
-        concepts = _qualified_panel()
-        pairs = [(concepts[0], concepts[1]), (concepts[0], concepts[2])]
-        _, pending = cached.bulk_lookup(pairs)
-        entries = [(key, 0.5) for key in pending]
-        cached.bulk_store(entries)
-        values, pending = cached.bulk_lookup(pairs)
-        assert values == [0.5, 0.5]
-        assert pending == {}
-        assert cached.hits == 2
-
-    def test_bulk_store_respects_capacity(self, mini_sst):
-        runner = mini_sst.runner(Measure.SHORTEST_PATH)
-        cached = CachedRunner(
-            runner.inner if isinstance(runner, CachedRunner) else runner,
-            capacity=2)
-        concepts = _qualified_panel()
-        pairs = [(concepts[0], other) for other in concepts[1:5]]
-        _, pending = cached.bulk_lookup(pairs)
-        cached.bulk_store((key, 0.25) for key in pending)
-        assert len(cached) == 2
-
-    def test_try_batch_warm_run_skips_kernel(self, cached):
+    def test_try_batch_bypasses_the_cache(self, cached, tmp_path):
+        # The kernel outpaces both tiers, so a hand-built cache around a
+        # batchable runner is scored by the kernel and left untouched.
+        l2 = DiskCache(tmp_path / "l2")
+        cached.l2, cached.fingerprint = l2, "fp"
         concepts = _qualified_panel()
         pairs = [(a, b) for a in concepts for b in concepts]
-        cold = kernel.try_batch(cached, pairs)
         built = cached.wrapper.kernel()
-
-        def boom(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("kernel re-entered on a warm run")
-
+        handed: list = []
         original = built.batch
-        built.batch = boom
+
+        def spy(runner, batch_pairs):
+            handed.append(runner)
+            return original(runner, batch_pairs)
+
+        telemetry.reset()
+        built.batch = spy
         try:
-            warm = kernel.try_batch(cached, pairs)
+            values = kernel.try_batch(cached, pairs)
+            again = kernel.try_batch(cached, pairs)
         finally:
             built.batch = original
-        assert warm == cold
+        assert values == again == kernel.try_batch(cached.inner, pairs)
+        assert handed == [cached.inner, cached.inner]
+        assert len(cached) == 0
+        assert (cached.hits, cached.misses) == (0, 0)
+        assert (cached.l2_hits, cached.l2_misses) == (0, 0)
+        cached.flush()
+        assert l2.stats()["entries"] == 0
+        registry = telemetry.get_registry()
+        assert all(registry.value(name) == 0 for name in (
+            "cache.l1.hits", "cache.l1.misses", "cache.l1.stores",
+            "cache.l2.hits", "cache.l2.misses", "cache.l2.stores"))
 
     @pytest.mark.parametrize("measure", BATCHABLE_MEASURES,
                              ids=[m.name for m in BATCHABLE_MEASURES])
     def test_mirrored_pairs_in_one_batch(self, mini_sst, measure):
-        runner = mini_sst.runner(measure)
-        inner = runner.inner if isinstance(runner, CachedRunner) \
-            else runner
+        inner = mini_sst.runner(measure)
         concepts = _qualified_panel()
         # Both orientations of every pair, plus self pairs, with the
         # non-canonical orientation first for half of them.
@@ -336,31 +301,6 @@ class TestCachedBatches:
         assert batched == [per_pair.run(a, b) for a, b in pairs]
         naive = BatchSimilarityEngine(inner, engine="naive")
         assert batched == naive.score_pairs(pairs)
-
-    def test_kernel_gets_input_concepts_in_canonical_order(self, cached):
-        concepts = _qualified_panel()
-        pairs = [(b, a) for a in concepts for b in concepts]
-        built = cached.wrapper.kernel()
-        handed: list = []
-        original = built.batch
-
-        def spy(runner, batch_pairs):
-            handed.extend(batch_pairs)
-            return original(runner, batch_pairs)
-
-        built.batch = spy
-        try:
-            kernel.try_batch(cached, pairs)
-        finally:
-            built.batch = original
-        inputs = {id(concept) for concept in concepts}
-        keys = [cached.cache_key(a, b) for a, b in handed]
-        assert len(set(keys)) == len(keys) == 21
-        for (first, second), key in zip(handed, keys):
-            assert (first.ontology_name, first.concept_name,
-                    second.ontology_name, second.concept_name) == key
-            # Recovered from the input pairs, not re-allocated.
-            assert id(first) in inputs and id(second) in inputs
 
     def test_cached_engine_matches_uncached(self, mini_sst, cached):
         concepts = _qualified_panel()

@@ -139,8 +139,10 @@ class TestBatchScoring:
 
 
 class TestCacheComposition:
+    # A per-pair measure: the kernel scores graph measures uncached.
+
     def test_process_workers_merge_cache_back(self, mini_sst):
-        cached = CachedRunner(mini_sst.runner(Measure.SHORTEST_PATH))
+        cached = CachedRunner(mini_sst.runner(Measure.NAME_LEVENSHTEIN))
         engine = BatchSimilarityEngine(cached, workers=2, strategy=PROCESS)
         values = engine.score_pairs(PAIRS)
         # All 15 unordered pairs of 5 concepts are now in the parent
@@ -153,7 +155,7 @@ class TestCacheComposition:
         assert cached.hits >= hits_before + len(PAIRS) - 1
 
     def test_thread_workers_share_one_cache(self, mini_sst):
-        cached = CachedRunner(mini_sst.runner(Measure.SHORTEST_PATH))
+        cached = CachedRunner(mini_sst.runner(Measure.NAME_LEVENSHTEIN))
         engine = BatchSimilarityEngine(cached, workers=4, strategy=THREAD)
         engine.score_pairs(PAIRS)
         assert len(cached) == 15

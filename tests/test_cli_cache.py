@@ -55,9 +55,11 @@ class TestCacheSubcommand:
 
 
 class TestWarmStart:
+    # TFIDF has no kernel batch form; only such measures are cached.
+
     def test_second_matrix_run_hits_disk(self, capsys, owl_file, cache_dir):
         argv = ["--ontology-file", owl_file, "matrix",
-                "univ:Person", "univ:Student", "univ:Course"]
+                "univ:Person", "univ:Student", "univ:Course", "-m", "TFIDF"]
         assert main(argv) == 0
         cold = capsys.readouterr()
         assert "0.0%" in cold.err  # everything computed cold
@@ -68,7 +70,7 @@ class TestWarmStart:
 
     def test_no_cache_flag_skips_disk(self, capsys, owl_file, cache_dir):
         argv = ["--ontology-file", owl_file, "matrix",
-                "univ:Person", "univ:Student", "--no-cache"]
+                "univ:Person", "univ:Student", "-m", "TFIDF", "--no-cache"]
         assert main(argv) == 0
         captured = capsys.readouterr()
         assert "disk cache" not in captured.err
@@ -79,13 +81,13 @@ class TestWarmStart:
                                   monkeypatch):
         monkeypatch.setenv("SST_NO_CACHE", "1")
         argv = ["--ontology-file", owl_file, "ksim", "univ", "Person",
-                "-k", "2"]
+                "-k", "2", "-m", "TFIDF"]
         assert main(argv) == 0
         assert "disk cache" not in capsys.readouterr().err
 
     def test_ksim_reports_cache(self, capsys, owl_file, cache_dir):
         argv = ["--ontology-file", owl_file, "ksim", "univ", "Person",
-                "-k", "2"]
+                "-k", "2", "-m", "TFIDF"]
         assert main(argv) == 0
         assert "disk cache" in capsys.readouterr().err
 

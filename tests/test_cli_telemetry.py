@@ -15,7 +15,10 @@ from repro.cli import main
 from repro.core import telemetry
 from tests.conftest import MINI_OWL
 
-MATRIX_ARGS = ["matrix", "univ:Person", "univ:Student", "univ:Course"]
+#: TFIDF has no kernel batch form, so its matrix runs through both
+#: cache tiers and books their counters.
+MATRIX_ARGS = ["matrix", "univ:Person", "univ:Student", "univ:Course",
+               "-m", "TFIDF"]
 
 #: Symmetric 3-concept matrix: 3 diagonal + 3 upper-triangle pairs.
 MATRIX_PAIRS = 6
