@@ -68,8 +68,11 @@ bench-graphindex:
 
 # Batch-kernel benchmark, quick mode (the CI "bench-kernel" job).
 # Hard-gates bit-identical kernel/naive matrices and the 5x sweep
-# speedup, and compares against the committed BENCH_kernel.json; run
-# without SST_BENCH_QUICK=1 for the nightly full-size configuration.
+# speedup, and compares against the committed root BENCH_kernel.json,
+# which the run never rewrites: it writes only the untracked
+# benchmarks/results/BENCH_kernel.json.  To re-baseline, copy that file
+# over the root one by hand.  Run without SST_BENCH_QUICK=1 for the
+# nightly full-size configuration.
 bench-kernel:
 	SST_BENCH_QUICK=1 $(PY) -m pytest benchmarks/test_kernel_scaling.py -q
 

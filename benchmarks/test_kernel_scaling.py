@@ -17,16 +17,17 @@ was produced under the same mode and sizes, the measured sweep speedup
 must stay within ``SPEEDUP_BAND`` of it and the kernel throughput
 within ``THROUGHPUT_BAND`` — so the CI ``bench-kernel`` job fails when
 a change erodes the kernel's advantage, not only when it falls under
-the absolute floor.
+the absolute floor.  A run only writes the untracked
+``benchmarks/results/BENCH_kernel.json``; the root baseline changes
+only when someone copies that file over it on purpose.
 
 Two modes:
 
 * quick (``SST_BENCH_QUICK=1``, the CI mode): 1.5k-node ontology,
   120-concept panel.  This is the configuration of the committed
   artifact, so CI runs compare apples to apples.
-* full (default, nightly): 6k nodes, 200-concept panel; records to the
-  results directory only, leaving the committed quick-mode artifact
-  alone.
+* full (default, nightly): 6k nodes, 200-concept panel; no committed
+  baseline matches it, so only the absolute gates apply.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import json
 import os
 import time
 
-from benchmarks.conftest import REPO_ROOT, record, record_root
+from benchmarks.conftest import REPO_ROOT, record
 from repro.core.facade import SOQASimPackToolkit
 from repro.core.registry import Measure
 from repro.ontologies.generator import generate_sumo_owl
@@ -210,12 +211,8 @@ def test_kernel_matrix_speedup(results_dir):
     }
     committed = _committed_baseline()
     text = json.dumps(payload, indent=2) + "\n"
+    # The root copy is the regression baseline: a run never rewrites it.
     record(results_dir, "BENCH_kernel.json", text)
-    if QUICK:
-        # Only quick mode refreshes the repo-root copy: that is the
-        # configuration the committed artifact (and CI) uses, so a
-        # full-mode nightly run cannot clobber the comparison baseline.
-        record_root("BENCH_kernel.json", text)
 
     # Hard gate, both modes: the kernel must clear the absolute floor.
     assert sweep_speedup is not None and sweep_speedup >= SPEEDUP_TARGET, (

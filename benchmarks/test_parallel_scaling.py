@@ -1,8 +1,8 @@
 """Experiment P1 — serial vs parallel batch similarity scaling.
 
 Times `get_similarity_matrix` over the largest bundled ontology
-(``SUMO_owl_txt``, 789 concepts) under all three execution strategies of
-:mod:`repro.core.parallel` and records the wall-clock trajectory into a
+(``SUMO_owl_txt``, 789 concepts) serially (one worker) and in the
+process pool of :mod:`repro.core.parallel` (four workers), and records the wall-clock trajectory into a
 stable JSON artifact (``BENCH_parallel.json``), so future PRs can chart
 the perf trend.  The run **fails if any parallel cell diverges from the
 serial matrix** — parallelism must never change a result.
@@ -13,7 +13,7 @@ Two modes:
   ~6 ms/pair serial) — enough work for the pools to amortize; asserts
   the >= 2x speedup with 4 process workers when the host has >= 4 CPUs.
 * quick (``SST_BENCH_QUICK=1``, the CI smoke mode): a 12-concept
-  matrix; equality across strategies is still asserted cell by cell,
+  matrix; serial-vs-process equality is still asserted cell by cell,
   timings are recorded but no speedup is demanded.
 """
 
@@ -25,11 +25,11 @@ import time
 
 from benchmarks.conftest import record
 from repro.core.cache import CachedRunner
-from repro.core.parallel import PROCESS, SERIAL, STRATEGIES, THREAD
+from repro.core.parallel import PROCESS, SERIAL
 from repro.core.registry import Measure
 
 #: Bump when the BENCH_parallel.json layout changes.
-SCHEMA = "sst/bench-parallel/v1"
+SCHEMA = "sst/bench-parallel/v2"
 
 ONTOLOGY = "SUMO_owl_txt"  # the largest bundled ontology (789 concepts)
 MEASURE = Measure.TREE_EDIT
@@ -44,15 +44,18 @@ MIN_CPUS_FOR_ASSERT = 4
 SPEEDUP_TARGET = 2.0
 
 
-def _timed_matrix(sst, concepts, workers, strategy):
+#: The worker count that selects each way of running the matrix.
+STRATEGY_WORKERS = {SERIAL: 1, PROCESS: WORKERS}
+
+
+def _timed_matrix(sst, concepts, workers):
     # Each arm starts from an empty L1: otherwise the first arm fills it
     # and the later arms time cache hits instead of pair scoring.
     runner = sst.runner(MEASURE)
     if isinstance(runner, CachedRunner):
         runner.clear()
     start = time.perf_counter()
-    matrix = sst.get_similarity_matrix(concepts, MEASURE, workers=workers,
-                                       strategy=strategy)
+    matrix = sst.get_similarity_matrix(concepts, MEASURE, workers=workers)
     return matrix, time.perf_counter() - start
 
 
@@ -63,22 +66,18 @@ def test_parallel_scaling(corpus_sst, results_dir):
     assert len(concepts) == MATRIX_SIZE
 
     # Warm the lazily built wrapper state (taxonomy, subtrees) outside
-    # the timed region, so every strategy times pure pair scoring.
+    # the timed region, so both arms time pure pair scoring.
     corpus_sst.get_similarity_matrix(concepts[:2], MEASURE)
 
     matrices, timings = {}, {}
-    matrices[SERIAL], timings[SERIAL] = _timed_matrix(
-        corpus_sst, concepts, 1, SERIAL)
-    matrices[THREAD], timings[THREAD] = _timed_matrix(
-        corpus_sst, concepts, WORKERS, THREAD)
-    matrices[PROCESS], timings[PROCESS] = _timed_matrix(
-        corpus_sst, concepts, WORKERS, PROCESS)
+    for strategy, workers in STRATEGY_WORKERS.items():
+        matrices[strategy], timings[strategy] = _timed_matrix(
+            corpus_sst, concepts, workers)
 
     # Hard gate: parallel output must be bit-identical to serial —
-    # every cell, every strategy.
-    for strategy in (THREAD, PROCESS):
-        assert matrices[strategy] == matrices[SERIAL], (
-            f"{strategy} matrix diverged from serial")
+    # every cell.
+    assert matrices[PROCESS] == matrices[SERIAL], (
+        "process matrix diverged from serial")
 
     pair_count = MATRIX_SIZE * (MATRIX_SIZE + 1) // 2
     payload = {
@@ -90,11 +89,10 @@ def test_parallel_scaling(corpus_sst, results_dir):
         "pairs": pair_count,
         "workers": WORKERS,
         "cpu_count": os.cpu_count() or 1,
-        "strategies": list(STRATEGIES),
+        "strategies": list(STRATEGY_WORKERS),
         "seconds": {strategy: round(timings[strategy], 6)
-                    for strategy in STRATEGIES},
-        "speedup": {strategy: round(timings[SERIAL] / timings[strategy], 3)
-                    for strategy in (THREAD, PROCESS)},
+                    for strategy in STRATEGY_WORKERS},
+        "speedup": {PROCESS: round(timings[SERIAL] / timings[PROCESS], 3)},
         "identical": True,
     }
     record(results_dir, "BENCH_parallel.json",

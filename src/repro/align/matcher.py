@@ -41,8 +41,7 @@ class OntologyMatcher:
     def __init__(self, sst: SOQASimPackToolkit,
                  measure: int | str | Measure = Measure.TFIDF,
                  threshold: float = 0.5,
-                 workers: int | None = None,
-                 strategy: str | None = None):
+                 workers: int | None = None):
         if not 0.0 <= threshold <= 1.0:
             raise SSTCoreError(
                 f"threshold must be within [0, 1], got {threshold}")
@@ -50,7 +49,6 @@ class OntologyMatcher:
         self.measure = measure
         self.threshold = threshold
         self.workers = workers
-        self.strategy = strategy
 
     def _concepts_of(self, ontology_name: str) -> list[QualifiedConcept]:
         ontology = self.sst.soqa.ontology(ontology_name)
@@ -75,8 +73,7 @@ class OntologyMatcher:
         candidate_pairs = [(first, second)
                            for first in first_concepts
                            for second in second_concepts]
-        engine = self.sst.engine(self.measure, workers=self.workers,
-                                 strategy=self.strategy)
+        engine = self.sst.engine(self.measure, workers=self.workers)
         scores = engine.score_pairs(candidate_pairs)
         pairs = [Correspondence(first, second, score)
                  for (first, second), score in zip(candidate_pairs, scores)]
@@ -116,8 +113,7 @@ class OntologyMatcher:
         """The k best correspondence candidates for one concept."""
         anchor = QualifiedConcept(ontology_name, concept_name)
         targets = self._concepts_of(target_ontology)
-        engine = self.sst.engine(self.measure, workers=self.workers,
-                                 strategy=self.strategy)
+        engine = self.sst.engine(self.measure, workers=self.workers)
         scores = engine.score_against(anchor, targets)
         candidates = [Correspondence(anchor, target, score)
                       for target, score in zip(targets, scores)]

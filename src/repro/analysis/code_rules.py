@@ -2,7 +2,7 @@
 own source (``sst analyze``).
 
 PRs 2-5 established guarantees that only dynamic tests enforced:
-bit-identical output across the serial/thread/process strategies,
+bit-identical output across serial and process batch runs,
 fork-safe workers, lock-guarded shared caches, atomic artifact writes,
 namespaced telemetry.  Each rule here pins one of those invariants
 statically, so a regression is caught at analysis time — before any

@@ -52,15 +52,10 @@ def _measure_argument(value: str) -> "int | str":
 
 def _add_parallel_arguments(sub: argparse.ArgumentParser) -> None:
     """Attach the batch-engine worker controls to a subcommand."""
-    from repro.core.parallel import STRATEGIES
-
     sub.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="worker count for batch scoring (default: SST_WORKERS or 1)")
-    sub.add_argument(
-        "--strategy", choices=STRATEGIES, default=None,
-        help="batch execution strategy (default: SST_STRATEGY, else "
-             "serial for 1 worker / process for more)")
+        help="worker count for batch scoring: 1 runs serially, more run "
+             "in forked processes (default: SST_WORKERS or 1)")
     sub.add_argument(
         "--no-cache", action="store_true",
         help="disable both cache tiers for this run (cold-path "
@@ -74,16 +69,8 @@ def _add_parallel_arguments(sub: argparse.ArgumentParser) -> None:
         "--retry-budget", type=int, default=None, metavar="N",
         dest="retry_budget",
         help="pool relaunches allowed after worker crashes or timeouts "
-             "before degrading to threads (default: SST_RETRY_BUDGET, "
-             "else 2)")
-    from repro.core.kernel import ENGINES
-
-    sub.add_argument(
-        "--engine", choices=ENGINES, default=None,
-        help="batch scoring engine: 'kernel' evaluates batchable graph "
-             "measures over the compiled taxonomy, 'naive' loops per "
-             "pair (default: SST_ENGINE, else kernel; both are "
-             "bit-identical)")
+             "before scoring the rest serially (default: "
+             "SST_RETRY_BUDGET, else 2)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,12 +449,10 @@ def _flag_environ(arguments: argparse.Namespace) -> dict[str, str]:
     Deep layers (the process supervisor, the batch engine) and forked
     workers read these from the environment.
     """
-    from repro.core.kernel import ENGINE_ENV
     from repro.core.parallel import RETRY_BUDGET_ENV, TASK_TIMEOUT_ENV
 
     flags = {TASK_TIMEOUT_ENV: getattr(arguments, "task_timeout", None),
-             RETRY_BUDGET_ENV: getattr(arguments, "retry_budget", None),
-             ENGINE_ENV: getattr(arguments, "engine", None)}
+             RETRY_BUDGET_ENV: getattr(arguments, "retry_budget", None)}
     return {name: str(value) for name, value in flags.items()
             if value is not None}
 
@@ -496,7 +481,7 @@ def _report_cache(sst: SOQASimPackToolkit) -> None:
     """One stderr line on how the persistent tier fared this run.
 
     Backed by the telemetry counters (which the process workers merge
-    into, so all three parallel strategies report the same numbers);
+    into, so serial and process runs report the same numbers);
     silent when the ``SST_TELEMETRY=off`` kill switch is set.
     """
     from repro.core import telemetry
@@ -539,9 +524,7 @@ def _dispatch(sst: SOQASimPackToolkit,
                           subtree_root_concept_name=subtree_concept,
                           subtree_ontology_name=subtree_ontology,
                           k=arguments.k, measure=arguments.measure,
-                          workers=arguments.workers,
-                          strategy=arguments.strategy,
-                          engine=arguments.engine)
+                          workers=arguments.workers)
         rows = [[str(index + 1), entry.concept_name, entry.ontology_name,
                  f"{entry.similarity:.4f}"]
                 for index, entry in enumerate(entries)]
@@ -584,8 +567,7 @@ def _dispatch(sst: SOQASimPackToolkit,
 
         matcher = OntologyMatcher(sst, measure=arguments.measure,
                                   threshold=arguments.threshold,
-                                  workers=arguments.workers,
-                                  strategy=arguments.strategy)
+                                  workers=arguments.workers)
         alignment = matcher.match(arguments.first_ontology,
                                   arguments.second_ontology)
         rows = [[str(correspondence.first), str(correspondence.second),
@@ -703,9 +685,7 @@ def _run_matrix(sst: SOQASimPackToolkit,
               "--from-ontology)", file=sys.stderr)
         return 1
     matrix = sst.get_similarity_matrix(references, arguments.measure,
-                                       workers=arguments.workers,
-                                       strategy=arguments.strategy,
-                                       engine=arguments.engine)
+                                       workers=arguments.workers)
     labels = [f"{ontology_name}:{concept_name}"
               for ontology_name, concept_name in references]
     if arguments.output_format == "json":

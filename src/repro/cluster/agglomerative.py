@@ -153,23 +153,21 @@ def render_dendrogram(root: ClusterNode, labels: Sequence[str]) -> str:
 class ConceptClusterer:
     """Clustering of qualified concepts via an SST facade.
 
-    ``workers``/``strategy`` are forwarded to the facade's similarity
+    ``workers`` is forwarded to the facade's similarity
     matrix service, so the quadratic distance-matrix step — the
     clusterer's hot path — runs through the parallel batch engine.
     """
 
     def __init__(self, sst, measure, linkage: str = "average",
-                 workers: int | None = None, strategy: str | None = None):
+                 workers: int | None = None):
         self.sst = sst
         self.measure = measure
         self.linkage = linkage
         self.workers = workers
-        self.strategy = strategy
 
     def _matrix(self, concepts: Sequence) -> list[list[float]]:
         return self.sst.get_similarity_matrix(
-            list(concepts), self.measure, workers=self.workers,
-            strategy=self.strategy)
+            list(concepts), self.measure, workers=self.workers)
 
     def cluster(self, concepts: Sequence, threshold: float = 0.5,
                 ) -> list[list]:

@@ -76,9 +76,9 @@ class CachedRunner(MeasureRunner):
     configurable capacity.
 
     The memo table and the hit/miss counters are lock-guarded, so one
-    cache can be shared by the thread-backed strategy of
-    :mod:`repro.core.parallel`; the underlying measure computation runs
-    outside the lock.  Process-backed workers return their per-chunk
+    cache can be shared by the request threads of ``sst serve``; the
+    underlying measure computation runs outside the lock.  The process
+    workers of :mod:`repro.core.parallel` return their per-chunk
     entries and statistics instead, which the parent folds back in via
     :meth:`merge` (which also persists them to the L2, exactly once —
     the workers' own L2 writes are no-ops after a fork).
@@ -180,8 +180,9 @@ class CachedRunner(MeasureRunner):
 
         ``entries`` are ``(key, value)`` pairs as produced by
         :meth:`cache_key`; ``hits``/``misses`` (and the L2 pair) are the
-        worker's counter deltas.  Used by the process-backed parallel
-        strategy, whose workers each mutate a forked copy of the table.
+        worker's counter deltas.  Used by the process workers of
+        :mod:`repro.core.parallel`, each mutating a forked copy of the
+        table.
         Merged entries are also persisted to the L2 here — the workers'
         own ``put`` calls are dropped after a fork, so this is the
         single writer.  Telemetry counters are *not* touched: workers

@@ -444,27 +444,23 @@ class SOQASimPackToolkit:
 
     def engine(self, measure: int | str | Measure,
                workers: int | None = None,
-               strategy: str | None = None,
                engine: str | None = None) -> BatchSimilarityEngine:
         """A batch execution engine over the measure's runner.
 
         ``workers`` defaults to the ``SST_WORKERS`` environment variable
-        (or 1), ``strategy`` to ``SST_STRATEGY`` (or serial/process
-        depending on the worker count); see :mod:`repro.core.parallel`.
-        ``engine`` picks the batch scoring path — ``"kernel"`` (the
-        default; batchable graph measures score whole chunks over the
-        compiled taxonomy) or ``"naive"`` (per-pair loop) — with
-        ``SST_ENGINE`` as the environment fallback; see
-        :mod:`repro.core.kernel`.
+        (or 1); one worker runs serially, more run in forked processes
+        (see :mod:`repro.core.parallel`).  Batchable graph measures are
+        scored in whole chunks by the kernel; ``engine="naive"`` is the
+        per-pair reference path parity tests and benchmarks compare it
+        against (see :mod:`repro.core.kernel`).
         """
         return BatchSimilarityEngine(self.runner(measure), workers=workers,
-                                     strategy=strategy, engine=engine)
+                                     engine=engine)
 
     def get_similarity_to_set(self, concept_name: str, ontology_name: str,
                               concepts: Iterable[ConceptRef],
                               measure: int | str | Measure,
                               workers: int | None = None,
-                              strategy: str | None = None,
                               engine: str | None = None,
                               ) -> list[ConceptAndSimilarity]:
         """Similarity between a concept and a freely composed concept set."""
@@ -474,7 +470,7 @@ class SOQASimPackToolkit:
         with telemetry.span("facade.similarity_to_set",
                             measure=self.runner(measure).name,
                             candidates=len(others)):
-            values = self.engine(measure, workers, strategy,
+            values = self.engine(measure, workers,
                                  engine).score_against(anchor, others)
         return [ConceptAndSimilarity(concept_name=other.concept_name,
                                      ontology_name=other.ontology_name,
@@ -548,7 +544,6 @@ class SOQASimPackToolkit:
                                   measure: int | str | Measure =
                                   Measure.SHORTEST_PATH,
                                   workers: int | None = None,
-                                  strategy: str | None = None,
                                   engine: str | None = None,
                                   ) -> list[ConceptAndSimilarity]:
         """The ``k`` most similar concepts for the given one (signature S2).
@@ -566,7 +561,7 @@ class SOQASimPackToolkit:
         with telemetry.span("facade.most_similar",
                             measure=self.runner(measure).name,
                             candidates=len(candidates), k=k):
-            values = self.engine(measure, workers, strategy,
+            values = self.engine(measure, workers,
                                  engine).score_against(anchor, candidates)
         return _top_k(candidates, values, k, best_first=True)
 
@@ -579,7 +574,6 @@ class SOQASimPackToolkit:
                                      measure: int | str | Measure =
                                      Measure.SHORTEST_PATH,
                                      workers: int | None = None,
-                                     strategy: str | None = None,
                                      engine: str | None = None,
                                      ) -> list[ConceptAndSimilarity]:
         """The ``k`` most dissimilar concepts for the given one."""
@@ -590,7 +584,7 @@ class SOQASimPackToolkit:
         with telemetry.span("facade.most_dissimilar",
                             measure=self.runner(measure).name,
                             candidates=len(candidates), k=k):
-            values = self.engine(measure, workers, strategy,
+            values = self.engine(measure, workers,
                                  engine).score_against(anchor, candidates)
         return _top_k(candidates, values, k, best_first=False)
 
@@ -598,7 +592,6 @@ class SOQASimPackToolkit:
                               measure: int | str | Measure,
                               symmetric: bool = True,
                               workers: int | None = None,
-                              strategy: str | None = None,
                               engine: str | None = None,
                               ) -> list[list[float]]:
         """The full pairwise similarity matrix of a concept list.
@@ -607,14 +600,14 @@ class SOQASimPackToolkit:
         triangle is computed and mirrored; pass ``symmetric=False`` for
         a custom asymmetric runner.  With ``workers`` > 1 (or
         ``SST_WORKERS`` set) the pair batch is partitioned across a
-        worker pool; every strategy produces the identical matrix.
+        process pool; it produces the identical matrix.
         """
         telemetry.count("facade.get_similarity_matrix.calls")
         qualified = [_qualify(concept) for concept in concepts]
         with telemetry.span("facade.similarity_matrix",
                             measure=self.runner(measure).name,
                             concepts=len(qualified)):
-            return self.engine(measure, workers, strategy,
+            return self.engine(measure, workers,
                                engine).similarity_matrix(
                 qualified, symmetric=symmetric)
 

@@ -30,16 +30,16 @@ transcendentals, which are always precomputed per node (or per distinct
 distance) with :mod:`math`.  Results are therefore bit-identical with
 and without numpy installed.
 
-Engine selection: ``SST_ENGINE`` / ``sst matrix --engine kernel|naive``
-picks between this kernel and the per-pair path;
-:func:`resolve_engine` implements the precedence.  The default is the
-kernel — it is exactly as correct and much faster.
+The kernel always scores what it can batch; no user-facing switch
+picks the per-pair loop.  The ``engine="naive"`` keyword of
+:class:`~repro.core.parallel.BatchSimilarityEngine` and the facade's
+batch services is the reference hook the parity tests and benchmarks
+score the per-pair path through; :func:`resolve_engine` validates it.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core import telemetry
@@ -64,7 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.wrapper import SOQAWrapperForSimPack
 
 __all__ = [
-    "ENGINE_ENV",
     "ENGINES",
     "KERNEL",
     "NAIVE",
@@ -82,23 +81,18 @@ NAIVE = "naive"
 #: All batch-engine selections.
 ENGINES = (KERNEL, NAIVE)
 
-#: Environment variable supplying the default engine (``--engine``).
-ENGINE_ENV = "SST_ENGINE"
-
 #: Pair count from which the numpy fast path pays for its conversion
 #: overhead; below it the plain loops win.
 _NUMPY_MIN_PAIRS = 64
 
 
 def resolve_engine(engine: str | None = None) -> str:
-    """The batch engine to use: explicit, ``SST_ENGINE``, or kernel.
+    """The batch engine to use: the validated argument, or the kernel.
 
-    The kernel is the default because it is bit-identical to the
-    per-pair path by contract; ``"naive"`` remains available for
-    benchmarking and as an escape hatch.
+    The kernel is bit-identical to the per-pair path by contract;
+    ``"naive"`` is the reference path parity tests and benchmarks
+    score against.
     """
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV, "").strip() or None
     if engine is None:
         return KERNEL
     engine = engine.lower()

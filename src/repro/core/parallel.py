@@ -4,24 +4,21 @@ The paper's headline services — the similarity matrix, the k-most-
 similar retrieval, alignment candidate scoring and clustering distance
 matrices — are embarrassingly parallel over concept pairs: every score
 is an independent ``runner.run(first, second)`` call.  This module
-partitions such batches into chunks and executes them across a worker
-pool, with three interchangeable strategies:
+partitions such batches into chunks and runs them one of two ways,
+chosen by the worker count alone:
 
-* ``"serial"`` — the deterministic fallback: one loop, no pool.  Always
-  available, always used for single-worker or single-pair batches.
-* ``"thread"`` — a :class:`~concurrent.futures.ThreadPoolExecutor`
-  sharing one runner (and hence one :class:`~repro.core.cache.
-  CachedRunner` memo table) between workers.
-* ``"process"`` — a :class:`~concurrent.futures.ProcessPoolExecutor`
-  over a *fork* context: workers inherit the fully built facade state
-  (unified tree, TFIDF index, IC tables) by copy-on-write instead of
-  pickling it, compute their chunks, and ship values plus their cache
-  deltas back to the parent, where they are merged into the parent's
-  :class:`CachedRunner`.  On platforms without ``fork`` the strategy
-  degrades to the serial fallback.
+* one worker — ``"serial"``: one loop, no pool.  Also used for
+  single-pair batches.
+* more than one — ``"process"``: a :class:`~concurrent.futures.
+  ProcessPoolExecutor` over a *fork* context: workers inherit the fully
+  built facade state (unified tree, TFIDF index, IC tables) by
+  copy-on-write instead of pickling it, compute their chunks, and ship
+  values plus their cache deltas back to the parent, where they are
+  merged into the parent's :class:`CachedRunner`.  On platforms without
+  ``fork`` the batch runs serially.
 
-All three strategies score the same pairs in the same order, so their
-results are bit-identical — parallelism never changes a single cell.
+Both score the same pairs in the same order, so their results are
+bit-identical — parallelism never changes a single cell.
 
 The process strategy is *supervised*: worker crashes
 (:class:`~concurrent.futures.process.BrokenProcessPool`) and per-chunk
@@ -29,7 +26,7 @@ timeouts (``SST_TASK_TIMEOUT`` / ``--task-timeout``) do not kill the
 batch.  Finished chunks are harvested, the pool is relaunched over the
 unfinished work within a bounded retry budget (``SST_RETRY_BUDGET``,
 default 2 relaunches), and when the budget runs out the remaining
-chunks degrade process → thread → serial.  Every recovery path scores
+chunks are scored serially in the parent.  Every recovery path scores
 the identical pairs in the identical order, so the result stays
 bit-identical to a fault-free run; what happened is surfaced through
 ``resilience.*`` telemetry counters and a ``resilience.recover`` span
@@ -37,9 +34,7 @@ instead of an exception.  Genuine measure errors (anything a chunk
 *raises*) are not retried — they reproduce identically and propagate.
 
 Worker counts come from the ``workers=`` parameter, the ``SST_WORKERS``
-environment variable, or default to 1 (serial); the strategy from
-``strategy=``, ``SST_STRATEGY``, or ``"process"`` whenever more than
-one worker is requested.
+environment variable, or default to 1 (serial).
 """
 
 from __future__ import annotations
@@ -47,8 +42,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from concurrent.futures import (CancelledError, ProcessPoolExecutor,
-                                ThreadPoolExecutor)
+from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 
@@ -68,33 +62,23 @@ __all__ = [
     "PROCESS",
     "RETRY_BUDGET_ENV",
     "SERIAL",
-    "STRATEGIES",
-    "STRATEGY_ENV",
     "TASK_TIMEOUT_ENV",
-    "THREAD",
     "WORKERS_ENV",
     "BatchSimilarityEngine",
     "effective_retry_budget",
     "effective_task_timeout",
     "effective_workers",
-    "resolve_strategy",
     "score_against",
     "score_pairs",
     "similarity_matrix",
 ]
 
+#: How a batch runs, as the ``parallel.score_pairs`` span labels it.
 SERIAL = "serial"
-THREAD = "thread"
 PROCESS = "process"
-
-#: All execution strategies, in fallback order.
-STRATEGIES = (SERIAL, THREAD, PROCESS)
 
 #: Environment variable supplying the default worker count.
 WORKERS_ENV = "SST_WORKERS"
-
-#: Environment variable supplying the default execution strategy.
-STRATEGY_ENV = "SST_STRATEGY"
 
 #: Environment variable supplying the default per-chunk timeout
 #: (seconds; unset/empty = no timeout).
@@ -117,13 +101,12 @@ def _score_chunk_pairs(runner: MeasureRunner, pairs: Sequence,
                        engine: str) -> list[float]:
     """Score one contiguous run of pairs with the selected engine.
 
-    The single funnel every strategy (serial loop, thread chunk,
-    forked-process chunk, degradation fallback) goes through: with the
-    kernel engine, batchable measures are scored as one
-    :func:`repro.core.kernel.try_batch` call per chunk; everything else
-    — and the ``"naive"`` engine — takes the per-pair loop.  Both paths
-    score the same pairs in the same order and are bit-identical by the
-    kernel's parity contract.
+    The single funnel every path (serial loop, forked-process chunk,
+    serial recovery) goes through: with the kernel engine, batchable
+    measures are scored as one :func:`repro.core.kernel.try_batch` call
+    per chunk; everything else — and the ``"naive"`` reference engine —
+    takes the per-pair loop.  Both paths score the same pairs in the
+    same order and are bit-identical by the kernel's parity contract.
     """
     if engine == kernel_engine.KERNEL:
         values = kernel_engine.try_batch(runner, pairs)
@@ -151,25 +134,6 @@ def effective_workers(workers: int | None = None) -> int:
     if workers < 1:
         raise SSTCoreError(f"worker count must be positive, got {workers}")
     return workers
-
-
-def resolve_strategy(strategy: str | None = None, workers: int = 1) -> str:
-    """The execution strategy: explicit, ``SST_STRATEGY``, or derived.
-
-    Without an explicit choice, one worker means ``"serial"`` and more
-    than one means ``"process"`` — the only strategy that buys
-    wall-clock time for pure-Python measure computations.
-    """
-    if strategy is None:
-        strategy = os.environ.get(STRATEGY_ENV, "").strip() or None
-    if strategy is None:
-        return SERIAL if workers <= 1 else PROCESS
-    strategy = strategy.lower()
-    if strategy not in STRATEGIES:
-        raise SSTCoreError(
-            f"unknown execution strategy {strategy!r}; expected one of "
-            f"{', '.join(STRATEGIES)}")
-    return strategy
 
 
 def effective_task_timeout(timeout: float | None = None) -> float | None:
@@ -329,13 +293,12 @@ class BatchSimilarityEngine:
     """
 
     def __init__(self, runner: MeasureRunner, workers: int | None = None,
-                 strategy: str | None = None,
                  task_timeout: float | None = None,
                  retry_budget: int | None = None,
                  engine: str | None = None):
         self.runner = runner
         self.workers = effective_workers(workers)
-        self.strategy = resolve_strategy(strategy, self.workers)
+        self.strategy = SERIAL if self.workers == 1 else PROCESS
         self.task_timeout = effective_task_timeout(task_timeout)
         self.retry_budget = effective_retry_budget(retry_budget)
         self.engine = kernel_engine.resolve_engine(engine)
@@ -350,23 +313,17 @@ class BatchSimilarityEngine:
         with telemetry.span("parallel.score_pairs",
                             strategy=self.strategy, workers=self.workers,
                             pairs=len(pairs)):
-            if (self.strategy == SERIAL or self.workers <= 1
-                    or len(pairs) <= 1):
+            if self.strategy == SERIAL or len(pairs) <= 1:
                 return self._score_serial(pairs)
             # Prime lazily built wrapper state (taxonomy, TFIDF index,
-            # IC tables) on the first pair in the calling thread, so
-            # thread workers never race on construction and process
-            # workers inherit the warm structures through fork.
+            # IC tables) on the first pair in the parent, so the
+            # process workers inherit the warm structures through fork.
             if self.engine == kernel_engine.KERNEL:
                 kernel_engine.prime(self.runner)
             first_value = self.runner.run(*pairs[0])
-            rest = pairs[1:]
-            chunks = chunk_pairs(rest, self.workers * CHUNKS_PER_WORKER)
-            if self.strategy == THREAD:
-                values = self._score_threaded(chunks)
-            else:
-                values = self._score_processes(chunks)
-            return [first_value] + values
+            chunks = chunk_pairs(pairs[1:],
+                                 self.workers * CHUNKS_PER_WORKER)
+            return [first_value] + self._score_processes(chunks)
 
     def score_against(self, anchor: QualifiedConcept,
                       candidates: Sequence[QualifiedConcept]) -> list[float]:
@@ -403,36 +360,10 @@ class BatchSimilarityEngine:
                     matrix[column][row] = value
         return matrix
 
-    # -- strategies -----------------------------------------------------------
+    # -- serial execution -----------------------------------------------------
 
     def _score_serial(self, pairs: list) -> list[float]:
         return _score_chunk_pairs(self.runner, pairs, self.engine)
-
-    def _score_threaded(self, chunks: list[list]) -> list[float]:
-        return [value for chunk_values in self._thread_chunk_values(chunks)
-                for value in chunk_values]
-
-    def _thread_chunk_values(self, chunks: list[list]) -> list[list[float]]:
-        runner = self.runner
-        parent_span = telemetry.current_span()
-        submitted_at = time.perf_counter()
-
-        def score(indexed_chunk: tuple[int, list]) -> list[float]:
-            chunk_index, chunk = indexed_chunk
-            started = time.perf_counter()
-            telemetry.observe("parallel.queue_wait_seconds",
-                              started - submitted_at)
-            # Worker-thread spans graft onto the engine span explicitly
-            # — the thread-local context stack is per-thread.
-            with telemetry.span("parallel.chunk", parent=parent_span,
-                                chunk=chunk_index, pairs=len(chunk)):
-                chunk_values = _score_chunk_pairs(runner, chunk, self.engine)
-            telemetry.observe("parallel.task_seconds",
-                              time.perf_counter() - started)
-            return chunk_values
-
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            return list(pool.map(score, enumerate(chunks)))
 
     # -- supervised process execution -----------------------------------------
 
@@ -552,27 +483,17 @@ class BatchSimilarityEngine:
                           parent_span, failures: list[str]) -> None:
         """Score the unfinished chunks after the retry budget ran out.
 
-        Degrades process → thread (sharing the parent runner and its
-        caches) and, should the thread pool itself be unavailable,
-        thread → serial.  Either way the pairs are scored in their
-        original chunk order, so the batch result stays bit-identical.
+        Degrades process → serial: the pending chunks are scored in the
+        parent, on the parent runner and its caches, in their original
+        chunk order, so the batch result stays bit-identical.
         """
         telemetry.count("resilience.degraded")
-        pending_chunks = [chunks[index] for index in pending]
         with telemetry.span("resilience.recover", parent=parent_span,
-                            strategy=THREAD, chunks=len(pending),
+                            strategy=SERIAL, chunks=len(pending),
                             failures=",".join(failures) or "budget"):
-            try:
-                recovered = self._thread_chunk_values(pending_chunks)
-            except RuntimeError:
-                # Thread pool unavailable (e.g. thread limits): the
-                # serial loop is the strategy of last resort.
-                telemetry.count("resilience.degraded")
-                recovered = [_score_chunk_pairs(self.runner, chunk,
-                                                self.engine)
-                             for chunk in pending_chunks]
-        for index, chunk_values in zip(pending, recovered):
-            values_by_chunk[index] = chunk_values
+            for index in pending:
+                values_by_chunk[index] = _score_chunk_pairs(
+                    self.runner, chunks[index], self.engine)
 
 
 # ---------------------------------------------------------------------------
@@ -582,20 +503,18 @@ class BatchSimilarityEngine:
 
 def score_pairs(runner: MeasureRunner, pairs: Sequence,
                 workers: int | None = None,
-                strategy: str | None = None,
                 engine: str | None = None) -> list[float]:
     """One-shot batch scoring of concept pairs."""
-    return BatchSimilarityEngine(runner, workers, strategy,
+    return BatchSimilarityEngine(runner, workers,
                                  engine=engine).score_pairs(pairs)
 
 
 def score_against(runner: MeasureRunner, anchor: QualifiedConcept,
                   candidates: Sequence[QualifiedConcept],
                   workers: int | None = None,
-                  strategy: str | None = None,
                   engine: str | None = None) -> list[float]:
     """One-shot anchor-vs-candidates scoring."""
-    return BatchSimilarityEngine(runner, workers, strategy,
+    return BatchSimilarityEngine(runner, workers,
                                  engine=engine).score_against(anchor,
                                                               candidates)
 
@@ -604,9 +523,8 @@ def similarity_matrix(runner: MeasureRunner,
                       concepts: Sequence[QualifiedConcept],
                       symmetric: bool = True,
                       workers: int | None = None,
-                      strategy: str | None = None,
                       engine: str | None = None) -> list[list[float]]:
     """One-shot pairwise similarity matrix."""
-    return BatchSimilarityEngine(runner, workers, strategy,
+    return BatchSimilarityEngine(runner, workers,
                                  engine=engine).similarity_matrix(
         concepts, symmetric=symmetric)

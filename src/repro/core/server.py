@@ -327,17 +327,17 @@ class PairGate:
         self._inflight: dict[tuple, _Slot] = {}
 
     @staticmethod
-    def _key(measure_name: str, engine_name: str | None,
-             first: QualifiedConcept, second: QualifiedConcept) -> tuple:
+    def _key(measure_name: str, first: QualifiedConcept,
+             second: QualifiedConcept) -> tuple:
         endpoints = sorted([(first.ontology_name, first.concept_name),
                             (second.ontology_name, second.concept_name)])
-        return (measure_name, engine_name or "", endpoints[0], endpoints[1])
+        return (measure_name, endpoints[0], endpoints[1])
 
-    def score(self, measure, pairs: Sequence[tuple], deadline: Deadline,
-              engine: str | None = None) -> list[float]:
+    def score(self, measure, pairs: Sequence[tuple],
+              deadline: Deadline) -> list[float]:
         """Similarity of every pair, in order, coalesced and batched."""
         runner = self._toolkit.runner(measure)
-        keys = [self._key(runner.name, engine, first, second)
+        keys = [self._key(runner.name, first, second)
                 for first, second in pairs]
         mine: dict[tuple, _Slot] = {}
         theirs: dict[tuple, _Slot] = {}
@@ -359,7 +359,7 @@ class PairGate:
         if coalesced:
             telemetry.count("server.coalesced", coalesced)
         if mine:
-            self._compute(measure, engine, mine, representative)
+            self._compute(measure, mine, representative)
         resolved: dict[tuple, float] = {key: slot.value
                                         for key, slot in mine.items()}
         for key, slot in theirs.items():
@@ -373,15 +373,13 @@ class PairGate:
             resolved[key] = slot.value
         return [resolved[key] for key in keys]
 
-    def _compute(self, measure, engine: str | None,
-                 mine: dict[tuple, _Slot],
+    def _compute(self, measure, mine: dict[tuple, _Slot],
                  representative: dict[tuple, tuple]) -> None:
         """Leader path: one engine batch for every owned key."""
         owned_keys = list(mine)
         owned_pairs = [representative[key] for key in owned_keys]
         try:
-            values = self._toolkit.engine(
-                measure, engine=engine).score_pairs(owned_pairs)
+            values = self._toolkit.engine(measure).score_pairs(owned_pairs)
         except BaseException as error:
             for slot in mine.values():
                 slot.error = error
@@ -476,19 +474,6 @@ class SimilarityService:
             raise RequestError(422, "unknown_measure", str(error)) from error
         return measure
 
-    def _resolve_engine(self, payload: dict) -> str | None:
-        engine = payload.get("engine")
-        if engine is None:
-            return None
-        from repro.core.kernel import ENGINES
-
-        if engine not in ENGINES:
-            raise RequestError(
-                422, "unknown_engine",
-                f"unknown engine {engine!r}; expected one of "
-                f"{', '.join(ENGINES)}")
-        return engine
-
     def _validate_concept(self, ontology_name: str, concept_name: str,
                           ) -> QualifiedConcept:
         try:
@@ -519,7 +504,6 @@ class SimilarityService:
             time.sleep(delay)
         deadline.check("similarity request")
         measure = self._resolve_measure(payload)
-        engine = self._resolve_engine(payload)
         runner_name = self.toolkit.runner(measure).name
         if "concepts" in payload:
             references = _require(payload, "concepts", (list,), "list")
@@ -529,8 +513,7 @@ class SimilarityService:
             qualified = [
                 self._validate_concept(*_concept_ref(ref, "concepts"))
                 for ref in references]
-            matrix = self.toolkit.get_similarity_matrix(
-                qualified, measure, engine=engine)
+            matrix = self.toolkit.get_similarity_matrix(qualified, measure)
             labels = [f"{concept.ontology_name}:{concept.concept_name}"
                       for concept in qualified]
             return {"measure": runner_name, "labels": labels,
@@ -552,16 +535,14 @@ class SimilarityService:
                 second = self._validate_concept(
                     *_concept_ref(entry[2:], "pairs"))
                 pairs.append((first, second))
-            values = self.gate.score(measure, pairs, deadline,
-                                     engine=engine)
+            values = self.gate.score(measure, pairs, deadline)
             return {"measure": runner_name, "values": values}
         if "first" in payload or "second" in payload:
             first = self._validate_concept(
                 *_concept_ref(payload.get("first"), "first"))
             second = self._validate_concept(
                 *_concept_ref(payload.get("second"), "second"))
-            values = self.gate.score(measure, [(first, second)], deadline,
-                                     engine=engine)
+            values = self.gate.score(measure, [(first, second)], deadline)
             return {"measure": runner_name, "similarity": values[0]}
         raise RequestError(
             422, "missing_field",
@@ -577,7 +558,6 @@ class SimilarityService:
         ontology_name = _require(payload, "ontology", (str,), "string")
         concept_name = _require(payload, "concept", (str,), "string")
         measure = self._resolve_measure(payload)
-        engine = self._resolve_engine(payload)
         k = payload.get("k", 10)
         if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             raise RequestError(422, "invalid_field",
@@ -602,7 +582,7 @@ class SimilarityService:
         entries = service(concept_name, ontology_name,
                           subtree_root_concept_name=subtree_concept,
                           subtree_ontology_name=subtree_ontology,
-                          k=k, measure=measure, engine=engine)
+                          k=k, measure=measure)
         return {
             "measure": self.toolkit.runner(measure).name,
             "k": k,

@@ -518,9 +518,9 @@ class Tracer:
 
     Spans opened on a thread nest under that thread's innermost open
     span.  A span with no parent becomes a *root* and is appended to
-    :attr:`roots` when it closes; the parallel engine passes an
-    explicit ``parent`` so worker-thread spans graft into the main
-    thread's tree instead of dangling as extra roots.  At most
+    :attr:`roots` when it closes; a span opened with an explicit
+    ``parent`` grafts into that tree instead of dangling as an extra
+    root.  At most
     :data:`MAX_RETAINED_ROOTS` finished roots are kept, newest last.
     """
 

@@ -119,9 +119,9 @@ class SqliteOntologyStore:
     Open an existing store with ``SqliteOntologyStore(path)`` or build a
     new one with :meth:`create` + :meth:`import_ontology`.  One store
     instance owns one connection per process (re-opened lazily after a
-    ``fork``, so process-strategy workers inherit a picklable shell and
-    reconnect on first use) and serializes cursor use under a lock for
-    thread-strategy workers.
+    ``fork``, so process workers inherit a picklable shell and reconnect
+    on first use) and serializes cursor use under a lock for the request
+    threads of ``sst serve``.
     """
 
     def __init__(self, path: str | Path, *, _create: bool = False):

@@ -24,8 +24,8 @@ MATRIX_ARGS = ["matrix", "--from-ontology", "COURSES", "--limit", "8"]
 #: reads and writes the L2 (kernel measures are never cached).
 CACHED_MATRIX_ARGS = MATRIX_ARGS + ["-m", "TFIDF"]
 
-#: The same matrix forced through the supervised process strategy.
-PARALLEL = ["--workers", "2", "--strategy", "process"]
+#: The same matrix run by the supervised process pool.
+PARALLEL = ["--workers", "2"]
 
 
 @pytest.fixture(autouse=True)
@@ -53,8 +53,8 @@ class TestWorkerCrashChaos:
     def test_crashing_workers_yield_bit_identical_matrix(self, baseline,
                                                          capsys):
         # Every forked worker kills its first 99 chunks, so both the
-        # launch and all relaunches fail; the run must finish on the
-        # degradation ladder with the exact same stdout.
+        # launch and all relaunches fail; the run must finish serially
+        # in the parent with the exact same stdout.
         code = main(["--inject-faults", "worker.crash=99"]
                     + MATRIX_ARGS + PARALLEL + ["--retry-budget", "1"])
         assert code == 0

@@ -173,7 +173,6 @@ class TestWorkerCrashChaos:
     def test_crashing_pool_workers_under_traffic_stay_identical(
             self, monkeypatch):
         monkeypatch.setenv("SST_WORKERS", "2")
-        monkeypatch.setenv("SST_STRATEGY", "process")
         monkeypatch.setenv("SST_RETRY_BUDGET", "1")
         payload = {"pairs": [["chaos", NAMES[index],
                               "chaos", NAMES[index + 9]]
@@ -186,8 +185,8 @@ class TestWorkerCrashChaos:
             degraded = counter("resilience.degraded")
             with injected_faults("worker.crash=99"):
                 # Every forked worker kills its first 99 chunks; the
-                # request must ride the degradation ladder down to a
-                # serial batch and still answer the same bytes.
+                # request must fall back to a serial batch in the
+                # parent and still answer the same bytes.
                 status, _, body = client.post_json("/v1/similarity",
                                                    payload)
             assert status == 200, body

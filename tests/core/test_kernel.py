@@ -30,17 +30,19 @@ PANEL = [
 
 
 class TestEngineResolution:
-    def test_default_is_kernel(self, monkeypatch):
-        monkeypatch.delenv(kernel.ENGINE_ENV, raising=False)
+    def test_default_is_kernel(self):
         assert kernel.resolve_engine() == kernel.KERNEL
 
-    def test_explicit_choice_wins(self, monkeypatch):
-        monkeypatch.setenv(kernel.ENGINE_ENV, "naive")
+    def test_explicit_choice_wins(self):
+        assert kernel.resolve_engine("naive") == kernel.NAIVE
         assert kernel.resolve_engine("kernel") == kernel.KERNEL
 
-    def test_environment_fallback(self, monkeypatch):
-        monkeypatch.setenv(kernel.ENGINE_ENV, "naive")
-        assert kernel.resolve_engine() == kernel.NAIVE
+    def test_environment_is_ignored(self, monkeypatch):
+        # The engine is not a user setting: a stale SST_ENGINE, valid
+        # or not, leaves the kernel in charge.
+        for value in ("naive", "gpu"):
+            monkeypatch.setenv("SST_ENGINE", value)
+            assert kernel.resolve_engine() == kernel.KERNEL
 
     def test_case_insensitive(self):
         assert kernel.resolve_engine("KERNEL") == kernel.KERNEL
@@ -49,17 +51,12 @@ class TestEngineResolution:
         with pytest.raises(SSTCoreError, match="unknown batch engine"):
             kernel.resolve_engine("vectorized")
 
-    def test_unknown_environment_engine_rejected(self, monkeypatch):
-        monkeypatch.setenv(kernel.ENGINE_ENV, "gpu")
-        with pytest.raises(SSTCoreError, match="unknown batch engine"):
-            kernel.resolve_engine()
-
-    def test_engine_object_resolves_environment(self, mini_sst,
-                                                monkeypatch):
-        monkeypatch.setenv(kernel.ENGINE_ENV, "naive")
+    def test_engine_object_ignores_environment(self, mini_sst,
+                                               monkeypatch):
+        monkeypatch.setenv("SST_ENGINE", "naive")
         engine = BatchSimilarityEngine(
             mini_sst.runner(Measure.SHORTEST_PATH))
-        assert engine.engine == kernel.NAIVE
+        assert engine.engine == kernel.KERNEL
 
 
 class TestNumpyProbe:

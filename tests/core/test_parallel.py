@@ -6,14 +6,10 @@ from repro.core.cache import CachedRunner
 from repro.core.parallel import (
     PROCESS,
     SERIAL,
-    STRATEGIES,
-    STRATEGY_ENV,
-    THREAD,
     WORKERS_ENV,
     BatchSimilarityEngine,
     chunk_pairs,
     effective_workers,
-    resolve_strategy,
     score_against,
     score_pairs,
     similarity_matrix,
@@ -30,6 +26,10 @@ COURSE = QualifiedConcept("univ", "Course")
 
 CONCEPTS = (PERSON, EMPLOYEE, PROFESSOR, STUDENT, COURSE)
 PAIRS = [(first, second) for first in CONCEPTS for second in CONCEPTS]
+
+#: The worker count that selects each way of running a batch.
+STRATEGY_WORKERS = pytest.mark.parametrize("workers", [1, 2],
+                                           ids=[SERIAL, PROCESS])
 
 
 class TestChunking:
@@ -71,25 +71,34 @@ class TestWorkerResolution:
 
 
 class TestStrategyResolution:
-    def test_defaults_follow_worker_count(self, monkeypatch):
-        monkeypatch.delenv(STRATEGY_ENV, raising=False)
-        assert resolve_strategy(workers=1) == SERIAL
-        assert resolve_strategy(workers=4) == PROCESS
+    """The worker count alone picks serial (1) or process (more)."""
 
-    def test_environment_fallback(self, monkeypatch):
-        monkeypatch.setenv(STRATEGY_ENV, "thread")
-        assert resolve_strategy(workers=4) == THREAD
+    @pytest.fixture
+    def runner(self, mini_sst):
+        return mini_sst.runner(Measure.SHORTEST_PATH)
 
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(STRATEGY_ENV, "thread")
-        assert resolve_strategy("serial", workers=4) == SERIAL
+    def test_defaults_follow_worker_count(self, monkeypatch, runner):
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        assert BatchSimilarityEngine(runner).strategy == SERIAL
+        assert BatchSimilarityEngine(runner, workers=1).strategy == SERIAL
+        assert BatchSimilarityEngine(runner, workers=4).strategy == PROCESS
 
-    def test_case_insensitive(self):
-        assert resolve_strategy("THREAD") == THREAD
+    def test_environment_fallback(self, monkeypatch, runner):
+        monkeypatch.setenv(WORKERS_ENV, "4")
+        assert BatchSimilarityEngine(runner).strategy == PROCESS
 
-    def test_unknown_rejected(self):
+    def test_explicit_wins(self, monkeypatch, runner):
+        monkeypatch.setenv(WORKERS_ENV, "4")
+        assert BatchSimilarityEngine(runner, workers=1).strategy == SERIAL
+
+    def test_stale_strategy_variable_is_ignored(self, monkeypatch, runner):
+        monkeypatch.setenv("SST_STRATEGY", "thread")
+        assert BatchSimilarityEngine(runner, workers=1).strategy == SERIAL
+        assert BatchSimilarityEngine(runner, workers=4).strategy == PROCESS
+
+    def test_unknown_rejected(self, runner):
         with pytest.raises(SSTCoreError):
-            resolve_strategy("gpu")
+            BatchSimilarityEngine(runner, workers=0)
 
 
 class TestBatchScoring:
@@ -100,42 +109,40 @@ class TestBatchScoring:
     def test_empty_batch(self, runner):
         assert score_pairs(runner, []) == []
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_strategies_agree_with_serial_loop(self, runner, strategy):
+    @STRATEGY_WORKERS
+    def test_strategies_agree_with_serial_loop(self, runner, workers):
         expected = [runner.run(first, second) for first, second in PAIRS]
-        assert score_pairs(runner, PAIRS, workers=2,
-                           strategy=strategy) == expected
+        assert score_pairs(runner, PAIRS, workers=workers) == expected
 
     def test_score_against(self, runner):
         expected = [runner.run(PERSON, other) for other in CONCEPTS]
-        assert score_against(runner, PERSON, CONCEPTS, workers=2,
-                             strategy=THREAD) == expected
+        assert score_against(runner, PERSON, CONCEPTS,
+                             workers=2) == expected
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_matrix_matches_facade(self, mini_sst, runner, strategy):
+    @STRATEGY_WORKERS
+    def test_matrix_matches_facade(self, mini_sst, runner, workers):
         expected = mini_sst.get_similarity_matrix(
             [(c.ontology_name, c.concept_name) for c in CONCEPTS],
             Measure.SHORTEST_PATH)
-        assert similarity_matrix(runner, list(CONCEPTS), workers=2,
-                                 strategy=strategy) == expected
+        assert similarity_matrix(runner, list(CONCEPTS),
+                                 workers=workers) == expected
 
     def test_asymmetric_matrix(self, runner):
         symmetric = similarity_matrix(runner, list(CONCEPTS))
         full = similarity_matrix(runner, list(CONCEPTS), symmetric=False,
-                                 workers=2, strategy=THREAD)
+                                 workers=2)
         assert full == symmetric  # the measure really is symmetric
 
     def test_single_pair_short_circuits_to_serial(self, runner):
-        engine = BatchSimilarityEngine(runner, workers=4, strategy=PROCESS)
+        engine = BatchSimilarityEngine(runner, workers=4)
         assert engine.score_pairs([(PERSON, STUDENT)]) == [
             runner.run(PERSON, STUDENT)]
 
     def test_engine_reads_environment(self, monkeypatch, runner):
         monkeypatch.setenv(WORKERS_ENV, "2")
-        monkeypatch.setenv(STRATEGY_ENV, "thread")
         engine = BatchSimilarityEngine(runner)
         assert engine.workers == 2
-        assert engine.strategy == THREAD
+        assert engine.strategy == PROCESS
 
 
 class TestCacheComposition:
@@ -143,7 +150,7 @@ class TestCacheComposition:
 
     def test_process_workers_merge_cache_back(self, mini_sst):
         cached = CachedRunner(mini_sst.runner(Measure.NAME_LEVENSHTEIN))
-        engine = BatchSimilarityEngine(cached, workers=2, strategy=PROCESS)
+        engine = BatchSimilarityEngine(cached, workers=2)
         values = engine.score_pairs(PAIRS)
         # All 15 unordered pairs of 5 concepts are now in the parent
         # cache, merged back from the workers.
@@ -154,37 +161,29 @@ class TestCacheComposition:
         assert engine.score_pairs(PAIRS) == values
         assert cached.hits >= hits_before + len(PAIRS) - 1
 
-    def test_thread_workers_share_one_cache(self, mini_sst):
-        cached = CachedRunner(mini_sst.runner(Measure.NAME_LEVENSHTEIN))
-        engine = BatchSimilarityEngine(cached, workers=4, strategy=THREAD)
-        engine.score_pairs(PAIRS)
-        assert len(cached) == 15
-        assert cached.hits + cached.misses == len(PAIRS)
-
 
 class TestFacadeIntegration:
     def test_facade_engine_factory(self, mini_sst):
-        engine = mini_sst.engine(Measure.SHORTEST_PATH, workers=3,
-                                 strategy="thread")
+        engine = mini_sst.engine(Measure.SHORTEST_PATH, workers=3)
         assert engine.workers == 3
-        assert engine.strategy == THREAD
+        assert engine.strategy == PROCESS
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_k_most_similar_parallel(self, mini_sst, strategy):
+    @STRATEGY_WORKERS
+    def test_k_most_similar_parallel(self, mini_sst, workers):
         serial = mini_sst.get_most_similar_concepts("Person", "univ", k=5)
         parallel = mini_sst.get_most_similar_concepts(
-            "Person", "univ", k=5, workers=2, strategy=strategy)
+            "Person", "univ", k=5, workers=workers)
         assert parallel == serial
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_similarity_to_set_parallel(self, mini_sst, strategy):
+    @STRATEGY_WORKERS
+    def test_similarity_to_set_parallel(self, mini_sst, workers):
         references = [("univ", "Student"), ("univ", "Course"),
                       ("MINI", "EMPLOYEE")]
         serial = mini_sst.get_similarity_to_set(
             "Person", "univ", references, Measure.SHORTEST_PATH)
         parallel = mini_sst.get_similarity_to_set(
             "Person", "univ", references, Measure.SHORTEST_PATH,
-            workers=2, strategy=strategy)
+            workers=workers)
         assert parallel == serial
 
     def test_matcher_parallel_matches_serial(self, mini_sst):
@@ -193,8 +192,8 @@ class TestFacadeIntegration:
         serial = OntologyMatcher(mini_sst, measure="Jaro-Winkler",
                                  threshold=0.8).match("univ", "MINI")
         parallel = OntologyMatcher(mini_sst, measure="Jaro-Winkler",
-                                   threshold=0.8, workers=2,
-                                   strategy=THREAD).match("univ", "MINI")
+                                   threshold=0.8,
+                                   workers=2).match("univ", "MINI")
         assert parallel == serial
 
     def test_clusterer_parallel_matches_serial(self, mini_sst):
@@ -205,6 +204,6 @@ class TestFacadeIntegration:
         serial = ConceptClusterer(mini_sst, Measure.SHORTEST_PATH).cluster(
             references, threshold=0.3)
         parallel = ConceptClusterer(
-            mini_sst, Measure.SHORTEST_PATH, workers=2,
-            strategy=PROCESS).cluster(references, threshold=0.3)
+            mini_sst, Measure.SHORTEST_PATH,
+            workers=2).cluster(references, threshold=0.3)
         assert parallel == serial

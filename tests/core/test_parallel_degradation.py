@@ -1,10 +1,10 @@
 """Degradation and recovery paths of the batch similarity engine.
 
-Covers the boundary batches every strategy must agree on (empty sets,
-more workers than pairs, single-concept matrices) and the supervised
-process strategy's recovery ladder: crashed workers and timed-out
+Covers the boundary batches serial and process runs must agree on
+(empty sets, more workers than pairs, single-concept matrices) and the
+supervised process pool's recovery: crashed workers and timed-out
 chunks burn the retry budget, then the unfinished chunks degrade
-process -> thread (-> serial) with bit-identical results and visible
+process -> serial with bit-identical results and visible
 ``resilience.*`` counters.
 """
 
@@ -15,7 +15,7 @@ from repro.core.parallel import (
     DEFAULT_RETRY_BUDGET,
     PROCESS,
     RETRY_BUDGET_ENV,
-    STRATEGIES,
+    SERIAL,
     TASK_TIMEOUT_ENV,
     BatchSimilarityEngine,
     effective_retry_budget,
@@ -100,31 +100,38 @@ class TestKnobResolution:
         assert engine.retry_budget == 1
 
 
+#: The worker count that selects each way of running a batch.
+STRATEGY_WORKERS = pytest.mark.parametrize("workers", [1, 4],
+                                           ids=[SERIAL, PROCESS])
+
+
 class TestBoundaryBatches:
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_empty_concept_set(self, runner, strategy):
-        engine = BatchSimilarityEngine(runner, workers=4, strategy=strategy)
+    @STRATEGY_WORKERS
+    def test_empty_concept_set(self, runner, workers):
+        engine = BatchSimilarityEngine(runner, workers=workers)
         assert engine.score_pairs([]) == []
         assert engine.similarity_matrix([]) == []
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_single_concept_matrix(self, runner, strategy):
-        engine = BatchSimilarityEngine(runner, workers=4, strategy=strategy)
+    @STRATEGY_WORKERS
+    def test_single_concept_matrix(self, runner, workers):
+        engine = BatchSimilarityEngine(runner, workers=workers)
         expected = [[runner.run(PERSON, PERSON)]]
         assert engine.similarity_matrix([PERSON]) == expected
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_more_workers_than_pairs(self, runner, strategy):
-        pairs = [(PERSON, STUDENT), (PERSON, COURSE), (STUDENT, COURSE)]
+    # Sixteen workers either way: a one-pair batch short-circuits to
+    # the serial loop, a three-pair batch runs in the process pool.
+    @pytest.mark.parametrize("pair_count", [1, 3], ids=[SERIAL, PROCESS])
+    def test_more_workers_than_pairs(self, runner, pair_count):
+        pairs = [(PERSON, STUDENT), (PERSON, COURSE),
+                 (STUDENT, COURSE)][:pair_count]
         expected = [runner.run(first, second) for first, second in pairs]
-        engine = BatchSimilarityEngine(runner, workers=16,
-                                       strategy=strategy)
+        engine = BatchSimilarityEngine(runner, workers=16)
         assert engine.score_pairs(pairs) == expected
 
     def test_no_fork_platform_degrades_to_serial(self, runner, monkeypatch,
                                                  serial_values):
         monkeypatch.setattr(parallel, "_fork_context", lambda: None)
-        engine = BatchSimilarityEngine(runner, workers=2, strategy=PROCESS)
+        engine = BatchSimilarityEngine(runner, workers=2)
         assert engine.score_pairs(PAIRS) == serial_values
 
 
@@ -132,12 +139,11 @@ class TestCrashRecovery:
     def test_worker_crashes_degrade_bit_identically(self, runner,
                                                     serial_values):
         telemetry.reset()
-        engine = BatchSimilarityEngine(runner, workers=2, strategy=PROCESS,
-                                       retry_budget=1)
+        engine = BatchSimilarityEngine(runner, workers=2, retry_budget=1)
         # Forked workers inherit the armed plan, so every fresh worker
         # kills itself on its first chunk: both the initial launch and
-        # the one budgeted relaunch fail, and the batch must finish on
-        # the thread ladder rung.
+        # the one budgeted relaunch fail, and the batch must finish
+        # serially in the parent.
         with injected_faults("worker.crash=99"):
             values = engine.score_pairs(PAIRS)
         assert values == serial_values
@@ -145,12 +151,17 @@ class TestCrashRecovery:
         assert registry.value("resilience.pool_failures.crash") == 2
         assert registry.value("resilience.pool_failures") == 2
         assert registry.value("resilience.degraded") == 1
+        (batch,) = [root for root in telemetry.get_tracer().drain()
+                    if root.name == "parallel.score_pairs"]
+        assert batch.labels["strategy"] == PROCESS
+        (recover,) = [child for child in batch.children
+                      if child.name == "resilience.recover"]
+        assert recover.labels["strategy"] == SERIAL
 
     def test_zero_budget_degrades_after_first_crash(self, runner,
                                                     serial_values):
         telemetry.reset()
-        engine = BatchSimilarityEngine(runner, workers=2, strategy=PROCESS,
-                                       retry_budget=0)
+        engine = BatchSimilarityEngine(runner, workers=2, retry_budget=0)
         with injected_faults("worker.crash=99"):
             assert engine.score_pairs(PAIRS) == serial_values
         assert telemetry.get_registry().value(
@@ -161,7 +172,7 @@ class TestTimeoutRecovery:
     def test_slow_chunks_degrade_bit_identically(self, runner,
                                                  serial_values):
         telemetry.reset()
-        engine = BatchSimilarityEngine(runner, workers=2, strategy=PROCESS,
+        engine = BatchSimilarityEngine(runner, workers=2,
                                        task_timeout=0.15, retry_budget=0)
         # Each fresh worker sleeps through its first chunk for far
         # longer than the task timeout; with no relaunch budget the
@@ -176,8 +187,7 @@ class TestTimeoutRecovery:
     def test_generous_timeout_stays_on_process_strategy(self, runner,
                                                         serial_values):
         telemetry.reset()
-        engine = BatchSimilarityEngine(runner, workers=2, strategy=PROCESS,
-                                       task_timeout=60.0)
+        engine = BatchSimilarityEngine(runner, workers=2, task_timeout=60.0)
         assert engine.score_pairs(PAIRS) == serial_values
         assert telemetry.get_registry().value("resilience.degraded") == 0
 
@@ -186,8 +196,7 @@ class TestGenuineErrors:
     def test_measure_errors_propagate_unretried(self, runner):
         telemetry.reset()
         poisoned = PoisonedRunner(runner, (STUDENT, COURSE))
-        engine = BatchSimilarityEngine(poisoned, workers=2,
-                                       strategy=PROCESS)
+        engine = BatchSimilarityEngine(poisoned, workers=2)
         with pytest.raises(ValueError):
             engine.score_pairs(PAIRS)
         # A deterministic exception is not an infrastructure failure:

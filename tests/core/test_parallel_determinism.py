@@ -1,15 +1,14 @@
-"""Determinism: all execution strategies produce bit-identical matrices.
+"""Determinism: serial and process runs produce bit-identical matrices.
 
 For every registered measure, over a mixed concept set drawn from the
-bundled OWL + PowerLoom + WordNet fixtures, the serial, thread and
-process strategies must agree on every cell — parallel execution is an
+bundled OWL + PowerLoom + WordNet fixtures, one worker (serial) and
+several (process) must agree on every cell — parallel execution is an
 implementation detail, never a semantic one.
 """
 
 import pytest
 
 from repro.core.facade import SOQASimPackToolkit
-from repro.core.parallel import PROCESS, THREAD
 from repro.soqa.api import SOQA
 from tests.conftest import MINI_OWL, MINI_PLOOM, MINI_WORDNET
 
@@ -49,11 +48,9 @@ ALL_MEASURE_IDS = _measure_ids(SOQASimPackToolkit(SOQA()))
 
 @pytest.mark.parametrize("measure_id", ALL_MEASURE_IDS)
 def test_strategies_bit_identical(shared_sst, concept_set, measure_id):
-    serial = shared_sst.get_similarity_matrix(concept_set, measure_id)
-    threaded = shared_sst.get_similarity_matrix(
-        concept_set, measure_id, workers=WORKERS, strategy=THREAD)
+    serial = shared_sst.get_similarity_matrix(concept_set, measure_id,
+                                              workers=1)
     processed = shared_sst.get_similarity_matrix(
-        concept_set, measure_id, workers=WORKERS, strategy=PROCESS)
+        concept_set, measure_id, workers=WORKERS)
     name = shared_sst.runner(measure_id).name
-    assert threaded == serial, f"{name}: thread diverged from serial"
     assert processed == serial, f"{name}: process diverged from serial"

@@ -74,6 +74,17 @@ class TestHappyPaths:
         assert isinstance(response["similarity"], float)
         assert 0.0 <= response["similarity"] <= 1.0
 
+    def test_stale_engine_field_is_ignored(self, client):
+        # The engine is not a request setting: an old client's "engine"
+        # field is ignored like any unknown key, and the kernel answers.
+        payload = {"first": ["univ", "Professor"],
+                   "second": ["univ", "Student"],
+                   "measure": int(Measure.LIN)}
+        expected = client.post_ok("/v1/similarity", payload)
+        for engine in ("naive", "warp"):
+            assert client.post_ok("/v1/similarity",
+                                  {**payload, "engine": engine}) == expected
+
     def test_metrics_exposes_server_counters(self, client):
         client.get_json("/healthz")
         status, headers, body = client.get("/metrics")
@@ -136,13 +147,6 @@ class TestTypedRefusals:
             "measure": "no-such-measure"})
         assert status == 422
         assert error_code(body) == "unknown_measure"
-
-    def test_unknown_engine_is_422(self, client):
-        status, _, body = client.post_json("/v1/similarity", {
-            "first": ["univ", "Person"], "second": ["univ", "Student"],
-            "engine": "warp"})
-        assert status == 422
-        assert error_code(body) == "unknown_engine"
 
     def test_unknown_ontology_is_404(self, client):
         status, _, body = client.post_json("/v1/similarity", {

@@ -4,8 +4,9 @@ The acceptance bar of ``sst serve``: the resident service must be a
 pure transport around the exact code paths the one-shot CLI runs, so a
 ``/v1/similarity`` matrix response compares **byte for byte** against
 ``sst matrix --format json`` stdout, across all nine kernel-batchable
-measures and both batch engines, and ``/v1/ksim`` reproduces the CLI
-table digit for digit.  Verified over a plain ontology file, a sqlite
+measures, and its cells equal both in-process batch engines (the kernel
+and the per-pair ``engine="naive"`` reference); ``/v1/ksim`` reproduces
+the CLI table digit for digit.  Verified over a plain ontology file, a sqlite
 ``.sstdb`` store, and the paper corpus.
 """
 
@@ -66,24 +67,19 @@ def corpus_server(corpus_sst):
         yield handle
 
 
-def cli_matrix_stdout(capsys, source_arguments, specs, measure,
-                      engine=None) -> str:
+def cli_matrix_stdout(capsys, source_arguments, specs, measure) -> str:
     arguments = source_arguments + ["matrix", *specs,
                                     "-m", str(int(measure)),
                                     "--format", "json"]
-    if engine is not None:
-        arguments += ["--engine", engine]
     assert main(arguments) == 0
     output = capsys.readouterr().out
     assert output.strip()
     return output
 
 
-def server_matrix_body(handle, references, measure, engine=None) -> bytes:
+def server_matrix_body(handle, references, measure) -> bytes:
     payload = {"concepts": [list(reference) for reference in references],
                "measure": int(measure)}
-    if engine is not None:
-        payload["engine"] = engine
     status, _, body = client_for(handle).post_json("/v1/similarity",
                                                    payload)
     assert status == 200, body
@@ -100,21 +96,24 @@ def ksim_table_from(response: dict) -> str:
 
 
 class TestMatrixParityEveryMeasureAndEngine:
-    """18 byte-for-byte comparisons: 9 kernel measures x 2 engines."""
+    """9 kernel measures x 2 in-process engines: the served bytes equal
+    the CLI's, and the served cells equal the engine's matrix."""
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("measure", BATCHABLE_MEASURES,
                              ids=lambda measure: measure.name)
     def test_file_matrix_bit_identical(self, file_server, owl_path,
                                        capsys, measure, engine):
-        ontology = file_server.service.toolkit.ontology_names()[0]
+        toolkit = file_server.service.toolkit
+        ontology = toolkit.ontology_names()[0]
         specs = [f"{ontology}:{name}" for name in CONCEPT_NAMES]
+        references = [(ontology, name) for name in CONCEPT_NAMES]
         expected = cli_matrix_stdout(capsys, ["--ontology-file", owl_path],
-                                     specs, measure, engine)
-        body = server_matrix_body(
-            file_server, [(ontology, name) for name in CONCEPT_NAMES],
-            measure, engine)
+                                     specs, measure)
+        body = server_matrix_body(file_server, references, measure)
         assert body.decode("utf-8") == expected
+        assert json.loads(body)["matrix"] == toolkit.get_similarity_matrix(
+            references, measure, engine=engine)
 
 
 class TestPairParity:

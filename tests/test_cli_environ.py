@@ -1,7 +1,7 @@
 """The CLI's batch flags stay scoped to one command.
 
-``--task-timeout``, ``--retry-budget`` and ``--engine`` reach deep
-layers through their ``SST_*`` variables; an in-process caller of
+``--task-timeout`` and ``--retry-budget`` reach deep layers through
+their ``SST_*`` variables; an in-process caller of
 :func:`repro.cli.main` must find its environment exactly as it left
 it.
 """
@@ -14,7 +14,7 @@ from repro.cli import main
 from tests.conftest import MINI_OWL
 
 ALL_FLAGS = ["matrix", "univ:Person", "univ:Student", "--task-timeout",
-             "30", "--retry-budget", "1", "--engine", "naive"]
+             "30", "--retry-budget", "1"]
 
 
 @pytest.fixture
@@ -32,13 +32,13 @@ class TestScopedFlags:
         assert dict(os.environ) == before
         assert "graph index compiled" in capsys.readouterr().out
 
-    def test_all_three_flags_leave_environ_unchanged(self, owl_file):
+    def test_both_flags_leave_environ_unchanged(self, owl_file):
         before = dict(os.environ)
         assert main(["--ontology-file", owl_file, *ALL_FLAGS]) == 0
         assert dict(os.environ) == before
 
     def test_prior_values_are_restored(self, owl_file, monkeypatch):
-        monkeypatch.setenv("SST_ENGINE", "kernel")
+        monkeypatch.setenv("SST_TASK_TIMEOUT", "10")
         monkeypatch.setenv("SST_RETRY_BUDGET", "2")
         before = dict(os.environ)
         assert main(["--ontology-file", owl_file, *ALL_FLAGS]) == 0
@@ -47,5 +47,5 @@ class TestScopedFlags:
     def test_restored_after_a_failing_command(self, owl_file):
         before = dict(os.environ)
         assert main(["--ontology-file", owl_file, "matrix", "univ:Nope",
-                     "univ:Person", "--engine", "naive"]) == 1
+                     "univ:Person", "--retry-budget", "1"]) == 1
         assert dict(os.environ) == before

@@ -60,8 +60,7 @@ class TestMatrixCommand:
 
         out = run_cli(capsys, ontology_files, "matrix",
                       "univ:Person", "univ:Professor", "univ:Student",
-                      "--workers", "2", "--strategy", "thread",
-                      "--format", "json")
+                      "--workers", "2", "--format", "json")
         payload = json.loads(out)
         assert payload["measure"] == "Shortest Path"
         assert payload["labels"][0] == "univ:Person"
@@ -76,7 +75,7 @@ class TestMatrixCommand:
         serial = json.loads(run_cli(capsys, ontology_files, *arguments))
         parallel = json.loads(run_cli(
             capsys, ontology_files, *arguments,
-            "--workers", "2", "--strategy", "process"))
+            "--workers", "2"))
         assert parallel == serial
 
     def test_matrix_from_ontology_with_limit(self, capsys, ontology_files):
