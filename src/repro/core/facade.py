@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import heapq
 import threading
-from typing import Iterable, Sequence
+from itertools import compress
+from typing import AbstractSet, Iterable, Sequence
 
 from repro.core import telemetry
 from repro.core.cache import CachedRunner
@@ -35,6 +36,7 @@ from repro.core.unified import SUPER_THING, UnifiedTree
 from repro.core.wrapper import SOQAWrapperForSimPack
 from repro.errors import SSTCoreError
 from repro.soqa.api import SOQA
+from repro.soqa.graphindex import iter_bits
 from repro.soqa.metamodel import Ontology
 from repro.viz.charts import BarChart, GroupedBarChart, HeatmapChart
 
@@ -67,6 +69,48 @@ def _top_k(candidates: Sequence[QualifiedConcept], values: Sequence[float],
         for candidate, value in zip(candidates, values)))
     return [ConceptAndSimilarity(concept, ontology, value)
             for _, ontology, concept, value in ranked]
+
+
+def _top_k_ids(names: Sequence[str], scores: Sequence[float], k: int,
+               best_first: bool, ids: Sequence[int] | None = None,
+               excluded: AbstractSet[int] = frozenset(),
+               ) -> list[ConceptAndSimilarity]:
+    """:func:`_top_k` over node IDs, for the per-node scores of a sweep.
+
+    The candidates are ``ids`` (every node by default) less
+    ``excluded``, a subset of them; ``names`` holds the
+    ``ontology:concept`` node names.  A C-level heap selection over
+    the raw scores finds a cut no better than the k-th best candidate,
+    and only the nodes at or past it are named and sorted.
+    """
+    if ids is None:
+        ids, values = range(len(scores)), scores
+    else:
+        values = [scores[node] for node in ids]
+    if k < 0:  # slice semantics: all but the last -k
+        k = max(len(values) - len(excluded) + k, 0)
+    if k == 0:
+        return []
+    # Dropping the excluded nodes moves the k-th best candidate at most
+    # len(excluded) places down the raw ranking.
+    reach = k + len(excluded)
+    pool: Iterable[int] = ids
+    if reach < len(values):
+        select = heapq.nlargest if best_first else heapq.nsmallest
+        cut = select(reach, values)[-1]
+        pool = compress(ids, map(cut.__le__ if best_first else cut.__ge__,
+                                 values))
+    ranked = []
+    for node in pool:
+        if node in excluded:
+            continue
+        ontology, _, concept = names[node].partition(":")
+        value = scores[node]
+        ranked.append((-value if best_first else value, ontology, concept,
+                       value))
+    ranked.sort()
+    return [ConceptAndSimilarity(concept, ontology, value)
+            for _, ontology, concept, value in ranked[:k]]
 
 
 class SOQASimPackToolkit:
@@ -551,19 +595,15 @@ class SOQASimPackToolkit:
         The candidate set is the named ontology taxonomy (sub)tree, or
         all loaded concepts when no subtree is named.  Results come
         sorted best-first; ties break alphabetically for determinism.
-        Candidate scoring is batched through the parallel engine when
-        ``workers`` (or ``SST_WORKERS``) exceeds 1.
+        A measure the batch kernel scores is swept over the whole
+        taxonomy in one pass (``workers`` is ignored); any other is
+        scored per candidate, in parallel when ``workers`` (or
+        ``SST_WORKERS``) exceeds 1.
         """
         telemetry.count("facade.get_most_similar_concepts.calls")
-        anchor = QualifiedConcept(concept_ontology_name, concept_name)
-        candidates = self._candidates(subtree_root_concept_name,
-                                      subtree_ontology_name, anchor)
-        with telemetry.span("facade.most_similar",
-                            measure=self.runner(measure).name,
-                            candidates=len(candidates), k=k):
-            values = self.engine(measure, workers,
-                                 engine).score_against(anchor, candidates)
-        return _top_k(candidates, values, k, best_first=True)
+        return self._k_most(True, concept_name, concept_ontology_name,
+                            subtree_root_concept_name, subtree_ontology_name,
+                            k, measure, workers, engine)
 
     def get_most_dissimilar_concepts(self, concept_name: str,
                                      concept_ontology_name: str,
@@ -578,15 +618,59 @@ class SOQASimPackToolkit:
                                      ) -> list[ConceptAndSimilarity]:
         """The ``k`` most dissimilar concepts for the given one."""
         telemetry.count("facade.get_most_dissimilar_concepts.calls")
+        return self._k_most(False, concept_name, concept_ontology_name,
+                            subtree_root_concept_name, subtree_ontology_name,
+                            k, measure, workers, engine)
+
+    def _k_most(self, best_first: bool, concept_name: str,
+                concept_ontology_name: str,
+                subtree_root_concept_name: str | None,
+                subtree_ontology_name: str | None, k: int,
+                measure: int | str | Measure, workers: int | None,
+                engine: str | None) -> list[ConceptAndSimilarity]:
+        """The k-most services; ``best_first`` picks similar/dissimilar."""
+        span_name = ("facade.most_similar" if best_first
+                     else "facade.most_dissimilar")
         anchor = QualifiedConcept(concept_ontology_name, concept_name)
-        candidates = self._candidates(subtree_root_concept_name,
-                                      subtree_ontology_name, anchor)
-        with telemetry.span("facade.most_dissimilar",
-                            measure=self.runner(measure).name,
-                            candidates=len(candidates), k=k):
-            values = self.engine(measure, workers,
-                                 engine).score_against(anchor, candidates)
-        return _top_k(candidates, values, k, best_first=False)
+        root_node = None
+        if subtree_root_concept_name is not None:
+            root_node = self.tree.node_of(QualifiedConcept(
+                subtree_ontology_name or "", subtree_root_concept_name))
+        batch = self.engine(measure, workers, engine)
+        runner = batch.kernel_runner
+        if runner is None:
+            candidates = self._candidates(subtree_root_concept_name,
+                                          subtree_ontology_name, anchor)
+            with telemetry.span(span_name, measure=batch.runner.name,
+                                candidates=len(candidates), k=k):
+                values = batch.score_against(anchor, candidates)
+            return _top_k(candidates, values, k, best_first)
+        # The same candidate set as _candidates, as node IDs.
+        kernel = self.wrapper.kernel()
+        tables = kernel.tables
+        virtual = {tables.ids[node] for node in self.tree.virtual_nodes}
+        anchor_id = tables.ids.get(UnifiedTree.key(
+            anchor.ontology_name, anchor.concept_name))
+        if root_node is None:
+            ids = None
+            excluded = virtual if anchor_id is None else virtual | {anchor_id}
+            count = tables.size - len(excluded)
+        else:
+            root_id = tables.ids[root_node]
+            ids = [root_id] + [
+                node for node in iter_bits(tables.descendant_bits[root_id])
+                if node != root_id and node not in virtual]
+            if anchor_id in ids:
+                ids.remove(anchor_id)
+            excluded = frozenset()
+            count = len(ids)
+        with telemetry.span(span_name, measure=runner.name,
+                            candidates=count, k=k):
+            if count == 0:
+                return []
+            scores = kernel.sweep(runner, kernel.resolve_id(anchor))
+            return _top_k_ids(tables.names, scores, k, best_first, ids,
+                              excluded)
 
     def get_similarity_matrix(self, concepts: Sequence[ConceptRef],
                               measure: int | str | Measure,

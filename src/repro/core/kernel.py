@@ -13,13 +13,23 @@ column and the per-distance value tables of the path measures, and then
 evaluates the graph-based measures over all pairs in tight integer
 loops.
 
-**Bit-identical parity with the per-pair path is the contract.**  Every
-batch evaluator replicates its scalar formula operation by operation —
-same integer arithmetic, same float expression shapes, same special
-cases and tie-breaks — and is gated by the golden 26-measure matrix
-fixture, the serial-vs-parallel divergence tests, and randomized-DAG
-``kernel == naive`` property tests.  Measures without a batch form (the
-string, vector, text and tree measures, and any user-subclassed
+Each measure is a *statistic* per pair (the via-ancestor distance, the
+MRCA's distance sum and depth, the most informative common subsumer's
+IC, or the shared-descendant count) and a *formula* over it.  The
+statistic has two forms: :meth:`SimilarityKernel.batch` intersects the
+two ancestor maps of every pair, and :meth:`SimilarityKernel.sweep` —
+the k-most services' entry — computes it for one anchor against every
+node at once, in one pass over the DAG in topological order.  Both feed
+the same formula code.
+
+**Bit-identical parity with the per-pair path is the contract**, for
+the sweep as for the batch.  Every evaluator replicates its scalar
+formula operation by operation — same integer arithmetic, same float
+expression shapes, same special cases and tie-breaks — and is gated by
+the golden 26-measure matrix fixture, the serial-vs-parallel
+divergence tests, randomized-DAG ``kernel == naive`` property tests and
+the sweep's top-k differential tests.  Measures without a batch form
+(the string, vector, text and tree measures, and any user-subclassed
 runner) transparently fall back to the per-pair loop.
 
 An optional numpy fast path sits behind a feature probe
@@ -40,6 +50,8 @@ score the per-pair path through; :func:`resolve_engine` validates it.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core import telemetry
@@ -59,6 +71,7 @@ from repro.core.runners import (
 )
 from repro.errors import SSTCoreError
 from repro.simpack.base import clamp_similarity
+from repro.soqa.graphindex import iter_bits
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.wrapper import SOQAWrapperForSimPack
@@ -69,8 +82,8 @@ __all__ = [
     "NAIVE",
     "SimilarityKernel",
     "batchable",
+    "kernel_runner",
     "numpy_available",
-    "prime",
     "resolve_engine",
     "try_batch",
 ]
@@ -120,19 +133,20 @@ def numpy_available() -> bool:
     return _NUMPY is not None
 
 
-#: The runners with a batch form, by *exact* class.  A user subclass —
-#: which may override ``run`` arbitrarily — never matches and falls
-#: back to the per-pair path.
-_BATCH_METHODS: dict[type, str] = {
-    ConceptualSimilarityRunner: "_conceptual_similarity",
-    ShortestPathRunner: "_shortest_path",
-    EdgeRunner: "_edge",
-    LeacockChodorowRunner: "_leacock_chodorow",
-    LinRunner: "_lin",
-    ResnikRunner: "_resnik",
-    ResnikNormalizedRunner: "_resnik_normalized",
-    JiangConrathRunner: "_jiang_conrath",
-    ExtensionalRunner: "_extensional",
+#: The runners with a batch form, by *exact* class: the per-pair
+#: statistic each consumes and the formula that turns it into scores.
+#: A user subclass — which may override ``run`` arbitrarily — never
+#: matches and falls back to the per-pair path.
+_BATCH_FORMS: dict[type, tuple[str, str]] = {
+    ConceptualSimilarityRunner: ("mrca", "_conceptual_similarity"),
+    ShortestPathRunner: ("distance", "_shortest_path"),
+    EdgeRunner: ("distance", "_edge"),
+    LeacockChodorowRunner: ("distance", "_leacock_chodorow"),
+    LinRunner: ("mics", "_lin"),
+    ResnikRunner: ("mics", "_resnik"),
+    ResnikNormalizedRunner: ("mics", "_resnik_normalized"),
+    JiangConrathRunner: ("mics", "_jiang_conrath"),
+    ExtensionalRunner: ("overlap", "_extensional"),
 }
 
 #: The IC-based runners; their batch form replicates the *subclasses*
@@ -145,7 +159,7 @@ _IC_RUNNERS = (LinRunner, ResnikRunner, ResnikNormalizedRunner,
 def batchable(runner: MeasureRunner) -> bool:
     """Whether the kernel has a batch form for this exact runner."""
     kind = type(runner)
-    if kind not in _BATCH_METHODS:
+    if kind not in _BATCH_FORMS:
         return False
     if kind in _IC_RUNNERS and getattr(
             runner, "ic_source", None) != "subclasses":
@@ -179,7 +193,8 @@ class SimilarityKernel:
 
     # -- id resolution ------------------------------------------------------
 
-    def _resolve_id(self, concept: QualifiedConcept) -> int:
+    def resolve_id(self, concept: QualifiedConcept) -> int:
+        """The node ID of ``concept``; raises the per-pair path's errors."""
         key = (concept.ontology_name, concept.concept_name)
         cached = self._node_ids.get(key)
         if cached is None:
@@ -191,7 +206,7 @@ class SimilarityKernel:
         return cached
 
     def _resolve_pairs(self, pairs: Sequence) -> list[tuple[int, int]]:
-        resolve = self._resolve_id
+        resolve = self.resolve_id
         return [(resolve(first), resolve(second)) for first, second in pairs]
 
     # -- shared per-node/per-distance tables --------------------------------
@@ -252,7 +267,7 @@ class SimilarityKernel:
 
     # -- per-pair statistics ------------------------------------------------
 
-    def _distances(self, id_pairs: list[tuple[int, int]]) -> list[int]:
+    def _pair_distance(self, id_pairs: list[tuple[int, int]]) -> list[int]:
         """Via-ancestor path length per pair (``-1`` = unreachable).
 
         The same min-plus intersection of the two ancestor-distance
@@ -281,8 +296,8 @@ class SimilarityKernel:
             append(best)
         return out
 
-    def _mrca_stats(self, id_pairs: list[tuple[int, int]],
-                    ) -> tuple[list[int], list[int]]:
+    def _pair_mrca(self, id_pairs: list[tuple[int, int]],
+                   ) -> tuple[list[int], list[int]]:
         """Per pair: minimal distance sum and depth of the MRCA.
 
         Replicates the naive MRCA selection for the quantities Wu &
@@ -325,8 +340,8 @@ class SimilarityKernel:
             mrca_depths.append(best_depth)
         return sums, mrca_depths
 
-    def _mics_ic(self, id_pairs: list[tuple[int, int]],
-                 ) -> list[float | None]:
+    def _pair_mics(self, id_pairs: list[tuple[int, int]],
+                   ) -> list[float | None]:
         """IC of the most informative common subsumer per pair.
 
         The scalar path's ``max(sorted(ancestors), key=ic)`` tie-break
@@ -353,17 +368,130 @@ class SimilarityKernel:
             append(best)
         return out
 
-    # -- batch evaluators ---------------------------------------------------
+    def _pair_overlap(self, id_pairs: list[tuple[int, int]]) -> list[int]:
+        """Shared descendants-or-self per pair (a bitset popcount)."""
+        descendant_bits = self.tables.descendant_bits
+        return [(descendant_bits[first] & descendant_bits[second]).bit_count()
+                for first, second in id_pairs]
 
-    def _shortest_path(self, id_pairs: list[tuple[int, int]]) -> list[float]:
+    # -- one-anchor statistics over every node -------------------------------
+    #
+    # The same statistics as above for ``(anchor, node)`` at every node
+    # at once.  Each of the first three is an aggregate over the common
+    # ancestors, and a node's ancestors are itself plus its parents'
+    # ancestors, so one pass in topological order carries it down the
+    # DAG: ``best[node]`` combines the node's own term (when it is an
+    # ancestor of the anchor) with its parents' ``best`` values.
+
+    def _sweep_distance(self, anchor: int) -> list[int]:
+        """``_pair_distance`` of ``(anchor, node)`` for every node.
+
+        ``best[node]`` is ``min(d(anchor, node) if node is an ancestor
+        of the anchor, min over parents of best[parent] + 1)``.
+        """
+        tables = self.tables
+        # Above every real via-ancestor distance (each leg < size):
+        # nodes without a common ancestor keep exactly this value.
+        far = 2 * tables.size
+        best = [far] * tables.size
+        for ancestor, distance in tables.ancestor_distances[anchor].items():
+            best[ancestor] = distance
+        parent_ids = tables.parent_ids
+        for node in tables.order:
+            own = best[node]
+            for parent in parent_ids[node]:
+                via = best[parent] + 1
+                if via < own:
+                    own = via
+            best[node] = own
+        if max(best, default=0) == far:
+            best = [-1 if total == far else total for total in best]
+        return best
+
+    def _sweep_mrca(self, anchor: int) -> tuple[list[int], list[int]]:
+        """``_pair_mrca`` of ``(anchor, node)`` for every node.
+
+        The distance recurrence of :meth:`_sweep_distance`, carrying
+        alongside each minimal sum the largest MRCA depth among the
+        ancestors that tie at it.
+        """
+        tables = self.tables
+        far = 2 * tables.size
+        sums = [far] * tables.size
+        mrca_depths = [-1] * tables.size
+        depths = tables.depths
+        for ancestor, distance in tables.ancestor_distances[anchor].items():
+            sums[ancestor] = distance
+            mrca_depths[ancestor] = depths[ancestor]
+        parent_ids = tables.parent_ids
+        for node in tables.order:
+            total = sums[node]
+            depth = mrca_depths[node]
+            for parent in parent_ids[node]:
+                via = sums[parent] + 1
+                if via < total:
+                    total = via
+                    depth = mrca_depths[parent]
+                elif via == total and mrca_depths[parent] > depth:
+                    depth = mrca_depths[parent]
+            sums[node] = total
+            mrca_depths[node] = depth
+        if max(sums, default=0) == far:
+            sums = [-1 if total == far else total for total in sums]
+        return sums, mrca_depths
+
+    def _sweep_mics(self, anchor: int) -> list[float | None]:
+        """``_pair_mics`` of ``(anchor, node)`` for every node.
+
+        ``best[node]`` is ``max(ic[node] if node is an ancestor of the
+        anchor, max over parents of best[parent])``.
+        """
+        tables = self.tables
+        ic = self._ic_table()
+        # Every IC is >= 0.0, so -1.0 marks "no common subsumer yet".
+        best = [-1.0] * tables.size
+        for ancestor in tables.ancestor_distances[anchor]:
+            best[ancestor] = ic[ancestor]
+        parent_ids = tables.parent_ids
+        for node in tables.order:
+            own = best[node]
+            for parent in parent_ids[node]:
+                via = best[parent]
+                if via > own:
+                    own = via
+            best[node] = own
+        if min(best, default=0.0) < 0.0:
+            return [None if value < 0.0 else value for value in best]
+        return best
+
+    def _sweep_overlap(self, anchor: int) -> list[int]:
+        """``_pair_overlap`` of ``(anchor, node)`` for every node.
+
+        Exact integer counts: every descendant-or-self of the anchor
+        adds one to each of its ancestors-or-self.
+        """
+        tables = self.tables
+        descendants = iter_bits(tables.descendant_bits[anchor])
+        counts = Counter(chain.from_iterable(
+            map(tables.ancestor_distances.__getitem__, descendants)))
+        overlaps = [0] * tables.size
+        for node, count in counts.items():
+            overlaps[node] = count
+        return overlaps
+
+    # -- formulas -----------------------------------------------------------
+    #
+    # Each turns ``id_pairs`` and their statistic into scores, the same
+    # for a batch and a sweep (whose pairs are ``(anchor, node)``).
+
+    def _shortest_path(self, id_pairs, distances: list[int]) -> list[float]:
         return [0.0 if distance < 0 else 1.0 / (1.0 + distance)
-                for distance in self._distances(id_pairs)]
+                for distance in distances]
 
-    def _edge(self, id_pairs: list[tuple[int, int]]) -> list[float]:
+    def _edge(self, id_pairs, distances: list[int]) -> list[float]:
         edge_value = self._edge_value
         values: list[float] = []
-        for (first, second), distance in zip(id_pairs,
-                                             self._distances(id_pairs)):
+        for (first, second), distance in zip(id_pairs, distances):
             if first == second:
                 values.append(1.0)
             elif distance < 0:
@@ -372,12 +500,11 @@ class SimilarityKernel:
                 values.append(edge_value(distance))
         return values
 
-    def _leacock_chodorow(self, id_pairs: list[tuple[int, int]],
+    def _leacock_chodorow(self, id_pairs, distances: list[int],
                           ) -> list[float]:
         lc_value = self._lc_value
         values: list[float] = []
-        for (first, second), distance in zip(id_pairs,
-                                             self._distances(id_pairs)):
+        for (first, second), distance in zip(id_pairs, distances):
             if first == second:
                 values.append(1.0)
             elif distance < 0:
@@ -386,10 +513,11 @@ class SimilarityKernel:
                 values.append(lc_value(distance))
         return values
 
-    def _conceptual_similarity(self, id_pairs: list[tuple[int, int]],
+    def _conceptual_similarity(self, id_pairs,
+                               mrca: tuple[list[int], list[int]],
                                ) -> list[float]:
-        sums, mrca_depths = self._mrca_stats(id_pairs)
-        if _NUMPY is not None and len(id_pairs) >= _NUMPY_MIN_PAIRS:
+        sums, mrca_depths = mrca
+        if _NUMPY is not None and len(sums) >= _NUMPY_MIN_PAIRS:
             return self._conceptual_similarity_numpy(sums, mrca_depths)
         values: list[float] = []
         for total, depth in zip(sums, mrca_depths):
@@ -419,11 +547,11 @@ class SimilarityKernel:
         scores[total < 0] = 0.0
         return scores.tolist()
 
-    def _lin(self, id_pairs: list[tuple[int, int]]) -> list[float]:
+    def _lin(self, id_pairs, subsumer_ics: list[float | None],
+             ) -> list[float]:
         ic = self._ic_table()
         values: list[float] = []
-        for (first, second), subsumer_ic in zip(id_pairs,
-                                                self._mics_ic(id_pairs)):
+        for (first, second), subsumer_ic in zip(id_pairs, subsumer_ics):
             if first == second:
                 values.append(1.0)
             elif subsumer_ic is None:
@@ -437,27 +565,29 @@ class SimilarityKernel:
                         2.0 * subsumer_ic / denominator))
         return values
 
-    def _resnik(self, id_pairs: list[tuple[int, int]]) -> list[float]:
+    def _resnik(self, id_pairs, subsumer_ics: list[float | None],
+                ) -> list[float]:
         return [0.0 if subsumer_ic is None else subsumer_ic
-                for subsumer_ic in self._mics_ic(id_pairs)]
+                for subsumer_ic in subsumer_ics]
 
-    def _resnik_normalized(self, id_pairs: list[tuple[int, int]],
+    def _resnik_normalized(self, id_pairs,
+                           subsumer_ics: list[float | None],
                            ) -> list[float]:
         maximum = self.max_ic()
         values: list[float] = []
-        for subsumer_ic in self._mics_ic(id_pairs):
+        for subsumer_ic in subsumer_ics:
             if subsumer_ic is None or maximum == 0.0:
                 values.append(0.0)
             else:
                 values.append(clamp_similarity(subsumer_ic / maximum))
         return values
 
-    def _jiang_conrath(self, id_pairs: list[tuple[int, int]]) -> list[float]:
+    def _jiang_conrath(self, id_pairs, subsumer_ics: list[float | None],
+                       ) -> list[float]:
         ic = self._ic_table()
         maximum = 2.0 * self.max_ic()
         values: list[float] = []
-        for (first, second), subsumer_ic in zip(id_pairs,
-                                                self._mics_ic(id_pairs)):
+        for (first, second), subsumer_ic in zip(id_pairs, subsumer_ics):
             if first == second:
                 values.append(1.0)
             elif subsumer_ic is None:
@@ -469,21 +599,14 @@ class SimilarityKernel:
                 values.append(clamp_similarity(1.0 - distance / maximum))
         return values
 
-    def _extensional(self, id_pairs: list[tuple[int, int]]) -> list[float]:
-        descendant_bits = self.tables.descendant_bits
-        values: list[float] = []
-        for first, second in id_pairs:
-            first_bits = descendant_bits[first]
-            second_bits = descendant_bits[second]
-            union = (first_bits | second_bits).bit_count()
-            if union == 0:
-                values.append(0.0)
-            else:
-                values.append(
-                    (first_bits & second_bits).bit_count() / union)
-        return values
+    def _extensional(self, id_pairs, overlaps: list[int]) -> list[float]:
+        # |A ∩ B| / |A ∪ B| with the union as an integer identity: every
+        # set holds its own node, so the union is never empty.
+        counts = self.tables.descendant_counts
+        return [overlap / (counts[first] + counts[second] - overlap)
+                for (first, second), overlap in zip(id_pairs, overlaps)]
 
-    # -- entry point --------------------------------------------------------
+    # -- entry points -------------------------------------------------------
 
     def batch(self, runner: MeasureRunner, pairs: Sequence) -> list[float]:
         """Score every ``(first, second)`` pair with the batch form.
@@ -491,12 +614,33 @@ class SimilarityKernel:
         ``runner`` must satisfy :func:`batchable`; use :func:`try_batch`
         for the dispatch-or-fallback entry point.
         """
-        method = getattr(self, _BATCH_METHODS[type(runner)])
+        statistic, formula = _BATCH_FORMS[type(runner)]
         with telemetry.span("kernel.batch", measure=runner.name,
                             pairs=len(pairs)):
-            values = method(self._resolve_pairs(pairs))
+            id_pairs = self._resolve_pairs(pairs)
+            values = getattr(self, formula)(
+                id_pairs, getattr(self, "_pair_" + statistic)(id_pairs))
         telemetry.count("kernel.batches")
         telemetry.count("kernel.pairs", len(pairs))
+        return values
+
+    def sweep(self, runner: MeasureRunner, anchor_id: int) -> list[float]:
+        """The score of ``(anchor, node)`` for every node ID, in one pass.
+
+        Element ``i`` is bit-identical to ``batch(runner, [(anchor,
+        node i)])``: the statistic comes from one recurrence over the
+        whole DAG instead of one ancestor-map intersection per node,
+        and the same formula applies it.  ``runner`` must satisfy
+        :func:`batchable`.
+        """
+        statistic, formula = _BATCH_FORMS[type(runner)]
+        size = self.tables.size
+        with telemetry.span("kernel.sweep", measure=runner.name,
+                            nodes=size):
+            values = getattr(self, formula)(
+                zip(repeat(anchor_id), range(size)),
+                getattr(self, "_sweep_" + statistic)(anchor_id))
+        telemetry.count("kernel.sweeps")
         return values
 
 
@@ -505,38 +649,23 @@ class SimilarityKernel:
 # ---------------------------------------------------------------------------
 
 
-def _unwrap(runner: MeasureRunner) -> MeasureRunner:
-    return runner.inner if isinstance(runner, CachedRunner) else runner
+def kernel_runner(runner: MeasureRunner) -> MeasureRunner | None:
+    """The runner the kernel scores in place of ``runner``, if any.
 
-
-def prime(runner: MeasureRunner) -> None:
-    """Build the kernel for a runner's corpus ahead of a batch.
-
-    Called in the parent before forking process workers, so the
-    exported tables and the IC column are inherited copy-on-write
-    instead of being rebuilt once per worker.  No-op for runners
-    without a batch form; a :class:`~repro.core.cache.CachedRunner` is
-    primed through its inner runner.
+    ``None`` when there is no batch form (the caller takes the per-pair
+    path).  The kernel scores a batch faster than either cache tier
+    could look it up or store it, so a
+    :class:`~repro.core.cache.CachedRunner` around a batchable runner
+    is scored through its inner runner: its L1, L2 and hit counters
+    are left untouched.  The facade never builds such a wrapper.
     """
-    inner = _unwrap(runner)
-    if not batchable(inner):
-        return
-    kernel = inner.wrapper.kernel()
-    if type(inner) in _IC_RUNNERS:
-        kernel._ic_table()
+    inner = runner.inner if isinstance(runner, CachedRunner) else runner
+    return inner if batchable(inner) else None
 
 
 def try_batch(runner: MeasureRunner, pairs: Sequence) -> list[float] | None:
-    """Batch-score ``pairs`` if the runner has a batch form.
-
-    Returns ``None`` when it does not (the caller falls back to the
-    per-pair loop).  The kernel scores a batch faster than either cache
-    tier could look it up or store it, so a
-    :class:`~repro.core.cache.CachedRunner` around a batchable runner
-    is scored by its inner runner: its L1, L2 and hit counters are left
-    untouched.  The facade never builds such a wrapper.
-    """
-    inner = _unwrap(runner)
-    if not batchable(inner):
+    """Batch-score ``pairs`` if the runner has a batch form, else ``None``."""
+    inner = kernel_runner(runner)
+    if inner is None:
         return None
     return inner.wrapper.kernel().batch(inner, pairs)

@@ -5,10 +5,11 @@ similar retrieval, alignment candidate scoring and clustering distance
 matrices — are embarrassingly parallel over concept pairs: every score
 is an independent ``runner.run(first, second)`` call.  This module
 partitions such batches into chunks and runs them one of two ways,
-chosen by the worker count alone:
+chosen by the worker count:
 
 * one worker — ``"serial"``: one loop, no pool.  Also used for
-  single-pair batches.
+  single-pair batches, and for every runner the batch kernel scores
+  (:func:`repro.core.kernel.kernel_runner`): forking loses to it.
 * more than one — ``"process"``: a :class:`~concurrent.futures.
   ProcessPoolExecutor` over a *fork* context: workers inherit the fully
   built facade state (unified tree, TFIDF index, IC tables) by
@@ -298,10 +299,18 @@ class BatchSimilarityEngine:
                  engine: str | None = None):
         self.runner = runner
         self.workers = effective_workers(workers)
-        self.strategy = SERIAL if self.workers == 1 else PROCESS
         self.task_timeout = effective_task_timeout(task_timeout)
         self.retry_budget = effective_retry_budget(retry_budget)
         self.engine = kernel_engine.resolve_engine(engine)
+        #: The runner the batch kernel scores in place of ``runner``,
+        #: or ``None`` when batches take the per-pair path.
+        self.kernel_runner = (kernel_engine.kernel_runner(runner)
+                              if self.engine == kernel_engine.KERNEL
+                              else None)
+        # Forking loses to the kernel on every batch it can score, so
+        # those run in the parent whatever the worker count.
+        self.strategy = (SERIAL if self.workers == 1
+                         or self.kernel_runner is not None else PROCESS)
 
     # -- batch primitives ---------------------------------------------------
 
@@ -318,8 +327,6 @@ class BatchSimilarityEngine:
             # Prime lazily built wrapper state (taxonomy, TFIDF index,
             # IC tables) on the first pair in the parent, so the
             # process workers inherit the warm structures through fork.
-            if self.engine == kernel_engine.KERNEL:
-                kernel_engine.prime(self.runner)
             first_value = self.runner.run(*pairs[0])
             chunks = chunk_pairs(pairs[1:],
                                  self.workers * CHUNKS_PER_WORKER)

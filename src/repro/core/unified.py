@@ -115,6 +115,11 @@ class UnifiedTree:
             return SUPER_THING_NODE
         return MERGED_THING_NODE
 
+    @property
+    def virtual_nodes(self) -> frozenset[str]:
+        """The global root plus every virtual per-ontology root."""
+        return frozenset(self._virtual_nodes)
+
     def is_virtual(self, node: str) -> bool:
         """Whether ``node`` is the global root or a virtual per-ontology one."""
         return node in self._virtual_nodes

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.errors import OntologyParseError, UnknownConceptError
 
-__all__ = ["CompiledTaxonomy", "TaxonomyTables"]
+__all__ = ["CompiledTaxonomy", "TaxonomyTables", "iter_bits"]
 
 # Mirrors of the ``repro.soqa.graph`` path policies; duplicated here so
 # the index module stays import-cycle free.
@@ -39,7 +39,7 @@ _VIA_ANCESTOR = "via_ancestor"
 _ANY_PATH = "any"
 
 
-def _iter_bits(bits: int) -> Iterator[int]:
+def iter_bits(bits: int) -> Iterator[int]:
     """Indices of the set bits of ``bits``, lowest first."""
     while bits:
         low = bits & -bits
@@ -59,15 +59,19 @@ class TaxonomyTables:
     maps and descendant bitsets are shared with the index itself —
     tuples on a freshly compiled index, lazy mmap-backed views on an
     artifact-loaded one — and support only indexing; they must be
-    treated as immutable.
+    treated as immutable.  ``parent_ids`` and :attr:`order` (parents
+    before children) let a consumer run one recurrence over the whole
+    DAG; node IDs themselves are *not* topological.
     """
 
     __slots__ = ("names", "ids", "size", "max_depth", "depths",
-                 "ancestor_distances", "descendant_bits",
-                 "descendant_counts")
+                 "parent_ids", "ancestor_distances", "descendant_bits",
+                 "descendant_counts", "_topological_order")
 
     def __init__(self, names: list[str], ids: dict[str, int],
                  depths: "array[int]", max_depth: int,
+                 parent_ids: list[tuple[int, ...]],
+                 topological_order: Callable[[], list[int]],
                  ancestor_distances,
                  descendant_bits,
                  descendant_counts: "array[int]"):
@@ -76,9 +80,20 @@ class TaxonomyTables:
         self.size = len(names)
         self.depths = depths
         self.max_depth = max_depth
+        self.parent_ids = parent_ids
+        self._topological_order = topological_order
         self.ancestor_distances = ancestor_distances
         self.descendant_bits = descendant_bits
         self.descendant_counts = descendant_counts
+
+    @property
+    def order(self) -> list[int]:
+        """Every node ID, each after all of its parents.
+
+        The order the compile pass used; on an artifact-loaded index it
+        is derived on first use, so warm-loading stays O(1).
+        """
+        return self._topological_order()
 
 
 class CompiledTaxonomy:
@@ -95,7 +110,7 @@ class CompiledTaxonomy:
         "_names", "_ids", "_parent_ids", "_child_ids",
         "_ancestor_distances",
         "_descendant_bits", "_descendant_counts", "_depths", "_longest",
-        "_max_depth", "_neighbor_ids", "_tables",
+        "_max_depth", "_neighbor_ids", "_tables", "_order",
     )
 
     def __init__(self, parents: Mapping[str, Iterable[str]]):
@@ -155,6 +170,7 @@ class CompiledTaxonomy:
         self._max_depth = max_depth
         self._neighbor_ids = None
         self._tables = None
+        self._order = None
         return self
 
     def state(self) -> dict:
@@ -206,9 +222,15 @@ class CompiledTaxonomy:
         cycle = trail[seen[current]:] + [current]
         return " -> ".join(self._names[index] for index in cycle)
 
+    def topological_order(self) -> list[int]:
+        """Node IDs, parents first: the compile order, or derived once."""
+        if self._order is None:
+            self._order = self._topological_ids()
+        return self._order
+
     def _compile(self) -> None:
         size = len(self._names)
-        order = self._topological_ids()
+        order = self._order = self._topological_ids()
         ancestor_distances: list[dict[int, int]] = [{}] * size
         depths = [0] * size
         longest = [0] * size
@@ -267,6 +289,8 @@ class CompiledTaxonomy:
                 ids=self._ids,
                 depths=array("l", self._depths),
                 max_depth=self._max_depth,
+                parent_ids=self._parent_ids,
+                topological_order=self.topological_order,
                 ancestor_distances=distances,
                 descendant_bits=descendant_bits,
                 descendant_counts=counts,
@@ -436,7 +460,7 @@ class CompiledTaxonomy:
         index = self._id(node)
         bits = self._descendant_bits[index] & ~(1 << index)
         names = self._names
-        return {names[child] for child in _iter_bits(bits)}
+        return {names[child] for child in iter_bits(bits)}
 
     def path_to_root(self, node: str) -> list[str]:
         current = self._id(node)

@@ -27,6 +27,11 @@ CACHED_MATRIX_ARGS = MATRIX_ARGS + ["-m", "TFIDF"]
 #: The same matrix run by the supervised process pool.
 PARALLEL = ["--workers", "2"]
 
+#: The same matrix under uncached Levenshtein: a kernel measure is
+#: scored in the parent whatever the worker count, so the pool's fault
+#: paths are driven by a per-pair measure.
+POOL_MATRIX_ARGS = MATRIX_ARGS + ["-m", "Levenshtein", "--no-cache"]
+
 
 @pytest.fixture(autouse=True)
 def _own_cache_dir(tmp_path, monkeypatch):
@@ -45,40 +50,50 @@ def baseline(capsys):
     return output
 
 
+@pytest.fixture
+def pool_baseline(capsys):
+    """Stdout of the clean serial run of :data:`POOL_MATRIX_ARGS`."""
+    assert main(POOL_MATRIX_ARGS) == 0
+    output = capsys.readouterr().out
+    assert output.strip()
+    return output
+
+
 def counter(name: str) -> int:
     return telemetry.get_registry().value(name)
 
 
 class TestWorkerCrashChaos:
-    def test_crashing_workers_yield_bit_identical_matrix(self, baseline,
-                                                         capsys):
+    def test_crashing_workers_yield_bit_identical_matrix(
+            self, pool_baseline, capsys):
         # Every forked worker kills its first 99 chunks, so both the
         # launch and all relaunches fail; the run must finish serially
         # in the parent with the exact same stdout.
         code = main(["--inject-faults", "worker.crash=99"]
-                    + MATRIX_ARGS + PARALLEL + ["--retry-budget", "1"])
+                    + POOL_MATRIX_ARGS + PARALLEL
+                    + ["--retry-budget", "1"])
         assert code == 0
-        assert capsys.readouterr().out == baseline
+        assert capsys.readouterr().out == pool_baseline
         assert counter("resilience.degraded") >= 1
         assert counter("resilience.pool_failures.crash") == 2
 
-    def test_faults_env_arms_the_same_plan(self, baseline, capsys,
+    def test_faults_env_arms_the_same_plan(self, pool_baseline, capsys,
                                            monkeypatch):
         monkeypatch.setenv("SST_FAULTS", "worker.crash=99")
-        code = main(MATRIX_ARGS + PARALLEL + ["--retry-budget", "0"])
+        code = main(POOL_MATRIX_ARGS + PARALLEL + ["--retry-budget", "0"])
         assert code == 0
-        assert capsys.readouterr().out == baseline
+        assert capsys.readouterr().out == pool_baseline
         assert counter("resilience.degraded") >= 1
 
 
 class TestTimeoutChaos:
-    def test_slow_chunks_yield_bit_identical_matrix(self, baseline,
+    def test_slow_chunks_yield_bit_identical_matrix(self, pool_baseline,
                                                     capsys):
         code = main(["--inject-faults", "task.slow=99@0.6"]
-                    + MATRIX_ARGS + PARALLEL
+                    + POOL_MATRIX_ARGS + PARALLEL
                     + ["--task-timeout", "0.15", "--retry-budget", "0"])
         assert code == 0
-        assert capsys.readouterr().out == baseline
+        assert capsys.readouterr().out == pool_baseline
         assert counter("resilience.pool_failures.timeout") == 1
         assert counter("resilience.degraded") >= 1
 

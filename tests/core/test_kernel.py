@@ -3,11 +3,11 @@ selection, cache integration, fallbacks, and edge cases."""
 
 import pytest
 
-from repro.core import kernel, telemetry
+from repro.core import kernel, parallel, telemetry
 from repro.core.cache import CachedRunner
 from repro.core.diskcache import DiskCache
 from repro.core.facade import SOQASimPackToolkit
-from repro.core.parallel import BatchSimilarityEngine
+from repro.core.parallel import PROCESS, SERIAL, BatchSimilarityEngine
 from repro.core.registry import Measure
 from repro.core.results import QualifiedConcept
 from repro.core.runners import (LinRunner, MeasureRunner,
@@ -227,16 +227,40 @@ class TestWrapperIntegration:
     def test_kernel_is_cached_per_wrapper(self, mini_sst):
         assert mini_sst.wrapper.kernel() is mini_sst.wrapper.kernel()
 
-    def test_prime_builds_kernel_and_ic(self, mini_sst):
-        runner = mini_sst.runner(Measure.LIN)
-        kernel.prime(runner)
-        built = mini_sst.wrapper._kernel
-        assert built is not None
-        assert built._ic is not None
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Counts the process pools batch scoring opens."""
+        opened = []
+        real = parallel.ProcessPoolExecutor
 
-    def test_prime_ignores_non_batchable(self, mini_sst):
-        runner = mini_sst.runner(Measure.TFIDF)
-        kernel.prime(runner)
+        def counting(*args, **kwargs):
+            opened.append(kwargs.get("max_workers"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", counting)
+        return opened
+
+    def test_kernel_measure_with_workers_opens_no_pool(self, mini_sst,
+                                                        pools):
+        pairs = [(a, b) for a in _qualified_panel()
+                 for b in _qualified_panel()]
+        runner = mini_sst.runner(Measure.LIN)
+        engine = BatchSimilarityEngine(runner, workers=2)
+        assert engine.strategy == SERIAL
+        assert engine.score_pairs(pairs) == BatchSimilarityEngine(
+            runner, workers=1).score_pairs(pairs)
+        assert pools == []
+
+    def test_per_pair_measure_with_workers_uses_the_pool(self, mini_sst,
+                                                         pools):
+        pairs = [(a, b) for a in _qualified_panel()
+                 for b in _qualified_panel()]
+        runner = mini_sst.runner(Measure.TFIDF).inner
+        engine = BatchSimilarityEngine(runner, workers=2)
+        assert engine.strategy == PROCESS
+        assert engine.score_pairs(pairs) == BatchSimilarityEngine(
+            runner, workers=1).score_pairs(pairs)
+        assert pools == [2]
 
     def test_tables_are_shared_with_compiled_index(self, mini_sst):
         built = mini_sst.wrapper.kernel()
@@ -340,6 +364,27 @@ class TestTelemetry:
         registry = telemetry.get_registry()
         assert registry.value("kernel.batches") == 0
         assert registry.value("kernel.fallback.batches") == 0
+
+    def test_kernel_ksim_is_one_sweep(self, mini_soqa):
+        sst = SOQASimPackToolkit(mini_soqa, cache=False)
+        telemetry.reset()
+        sst.get_most_similar_concepts("Person", "univ", k=3,
+                                      measure=Measure.LIN)
+        registry = telemetry.get_registry()
+        assert registry.value("kernel.sweeps") == 1
+        assert registry.value("kernel.batches") == 0
+        (root,) = [root for root in telemetry.get_tracer().drain()
+                   if root.name == "facade.most_similar"]
+        sweep = root.find("kernel.sweep")
+        assert sweep.labels == {"measure": "Lin",
+                                "nodes": len(sst.tree.taxonomy)}
+
+    def test_per_pair_ksim_records_no_sweep(self, mini_soqa):
+        sst = SOQASimPackToolkit(mini_soqa, cache=False)
+        telemetry.reset()
+        sst.get_most_similar_concepts("Person", "univ", k=3,
+                                      measure=Measure.TFIDF)
+        assert telemetry.get_registry().value("kernel.sweeps") == 0
 
 
 class TestStandaloneCorpus:

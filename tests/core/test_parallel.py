@@ -71,11 +71,12 @@ class TestWorkerResolution:
 
 
 class TestStrategyResolution:
-    """The worker count alone picks serial (1) or process (more)."""
+    """The worker count picks serial (1) or process (more) for a
+    per-pair runner; a kernel runner is always serial."""
 
     @pytest.fixture
     def runner(self, mini_sst):
-        return mini_sst.runner(Measure.SHORTEST_PATH)
+        return mini_sst.runner(Measure.LEVENSHTEIN)
 
     def test_defaults_follow_worker_count(self, monkeypatch, runner):
         monkeypatch.delenv(WORKERS_ENV, raising=False)
@@ -138,9 +139,9 @@ class TestBatchScoring:
         assert engine.score_pairs([(PERSON, STUDENT)]) == [
             runner.run(PERSON, STUDENT)]
 
-    def test_engine_reads_environment(self, monkeypatch, runner):
+    def test_engine_reads_environment(self, monkeypatch, mini_sst):
         monkeypatch.setenv(WORKERS_ENV, "2")
-        engine = BatchSimilarityEngine(runner)
+        engine = BatchSimilarityEngine(mini_sst.runner(Measure.LEVENSHTEIN))
         assert engine.workers == 2
         assert engine.strategy == PROCESS
 
@@ -164,7 +165,7 @@ class TestCacheComposition:
 
 class TestFacadeIntegration:
     def test_facade_engine_factory(self, mini_sst):
-        engine = mini_sst.engine(Measure.SHORTEST_PATH, workers=3)
+        engine = mini_sst.engine(Measure.LEVENSHTEIN, workers=3)
         assert engine.workers == 3
         assert engine.strategy == PROCESS
 

@@ -51,7 +51,8 @@ class PoisonedRunner:
 
 @pytest.fixture
 def runner(mini_sst):
-    return mini_sst.runner(Measure.SHORTEST_PATH)
+    # Uncached and per-pair: a kernel measure never reaches the pool.
+    return mini_sst.runner(Measure.LEVENSHTEIN).inner
 
 
 @pytest.fixture
