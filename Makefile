@@ -78,7 +78,8 @@ bench-kernel:
 
 # Warm-start scale ladder, quick mode (the CI "bench-scale" job).
 # Hard-gates bit-identical loaded/compiled indexes and the 5x
-# warm-start speedup at the 10k rung; run without SST_BENCH_QUICK=1 to
+# warm-start speedup at the 10k rung and writes only the untracked
+# benchmarks/results/BENCH_scale.json; run without SST_BENCH_QUICK=1 to
 # add the 100k WordNet-scale rung and regenerate BENCH_scale.json at
 # the root.
 bench-scale:
@@ -86,9 +87,10 @@ bench-scale:
 
 # Service throughput + overload posture, quick mode.  Non-gating on
 # timings (loopback HTTP is too noisy to band) but hard on overload
-# correctness: typed 429s with Retry-After, zero 500s.  Regenerates
-# BENCH_serve.json at the root; run without SST_BENCH_QUICK=1 for the
-# nightly full-size configuration (results directory only).
+# correctness: typed 429s with Retry-After, zero 500s.  Writes only the
+# untracked benchmarks/results/BENCH_serve.json; run without
+# SST_BENCH_QUICK=1 for the nightly full-size configuration, which also
+# refreshes BENCH_serve.json at the root.
 bench-serve:
 	SST_BENCH_QUICK=1 $(PY) -m pytest benchmarks/test_serve_overload.py -q
 

@@ -27,8 +27,8 @@ Results land in ``BENCH_scale.json`` (schema ``sst/bench-scale/v1``).
 Two modes:
 
 * quick (``SST_BENCH_QUICK=1``, the CI mode): 1k + 10k rungs only;
-  records to ``benchmarks/results/`` and never touches the committed
-  repo-root artifact.
+  records to the untracked ``benchmarks/results/`` and never touches
+  the committed repo-root artifact.
 * full (default, nightly): adds the 100k rung — the ROADMAP's
   WordNet-scale acceptance size — and refreshes the repo-root
   ``BENCH_scale.json``.

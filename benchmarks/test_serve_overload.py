@@ -19,9 +19,10 @@ still asserted hard — byte-identical responses, typed 429s with
 ``Retry-After``, zero 500s — so the bench doubles as an overload
 regression test; only the timings are informational.
 
-Two modes: quick (``SST_BENCH_QUICK=1``, CI/committed artifact) uses a
-smaller ontology and stream; full (nightly) records to the results
-directory only.
+Two modes: quick (``SST_BENCH_QUICK=1``, the CI mode) uses a smaller
+ontology and stream and records to the untracked results directory
+only; full (nightly) also refreshes the committed repo-root
+``BENCH_serve.json``.
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ def test_serve_throughput_and_overload(results_dir):
     }
     text = json.dumps(payload, indent=2) + "\n"
     record(results_dir, "BENCH_serve.json", text)
-    if QUICK:
-        # Only quick mode refreshes the repo-root copy (the committed
-        # configuration); the full-mode nightly records results only.
+    if not QUICK:
+        # Only the full-size run may refresh the committed repo-root
+        # artifact; a quick run leaves the tree clean.
         record_root("BENCH_serve.json", text)

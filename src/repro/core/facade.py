@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import heapq
 import threading
-from itertools import compress
+from contextlib import closing
+from itertools import chain, compress, repeat
+from operator import not_
 from typing import AbstractSet, Iterable, Sequence
 
 from repro.core import telemetry
@@ -71,22 +73,18 @@ def _top_k(candidates: Sequence[QualifiedConcept], values: Sequence[float],
             for _, ontology, concept, value in ranked]
 
 
-def _top_k_ids(names: Sequence[str], scores: Sequence[float], k: int,
-               best_first: bool, ids: Sequence[int] | None = None,
+def _top_k_ids(names: Sequence[str], ids: Sequence[int],
+               values: Sequence[float], k: int, best_first: bool,
                excluded: AbstractSet[int] = frozenset(),
                ) -> list[ConceptAndSimilarity]:
-    """:func:`_top_k` over node IDs, for the per-node scores of a sweep.
+    """:func:`_top_k` over node IDs, for the per-node scores of a walk.
 
-    The candidates are ``ids`` (every node by default) less
-    ``excluded``, a subset of them; ``names`` holds the
-    ``ontology:concept`` node names.  A C-level heap selection over
-    the raw scores finds a cut no better than the k-th best candidate,
-    and only the nodes at or past it are named and sorted.
+    The candidates are ``ids`` less ``excluded``; ``values[i]`` is the
+    score of ``ids[i]``, and ``names`` holds the ``ontology:concept``
+    node names.  A C-level heap selection over the raw scores finds a
+    cut no better than the k-th best candidate, and only the nodes at
+    or past it are named and ranked.
     """
-    if ids is None:
-        ids, values = range(len(scores)), scores
-    else:
-        values = [scores[node] for node in ids]
     if k < 0:  # slice semantics: all but the last -k
         k = max(len(values) - len(excluded) + k, 0)
     if k == 0:
@@ -94,23 +92,73 @@ def _top_k_ids(names: Sequence[str], scores: Sequence[float], k: int,
     # Dropping the excluded nodes moves the k-th best candidate at most
     # len(excluded) places down the raw ranking.
     reach = k + len(excluded)
-    pool: Iterable[int] = ids
+    pool: Iterable[tuple[int, float]] = zip(ids, values)
     if reach < len(values):
         select = heapq.nlargest if best_first else heapq.nsmallest
         cut = select(reach, values)[-1]
-        pool = compress(ids, map(cut.__le__ if best_first else cut.__ge__,
-                                 values))
+        pool = compress(pool, map(cut.__le__ if best_first else cut.__ge__,
+                                  values))
     ranked = []
-    for node in pool:
+    for node, value in pool:
         if node in excluded:
             continue
         ontology, _, concept = names[node].partition(":")
-        value = scores[node]
         ranked.append((-value if best_first else value, ontology, concept,
                        value))
-    ranked.sort()
+    # A heap, not a sort: the pool can hold thousands of nodes tied at
+    # the cut, in walk order, and only k of them are wanted.
     return [ConceptAndSimilarity(concept, ontology, value)
-            for _, ontology, concept, value in ranked[:k]]
+            for _, ontology, concept, value in heapq.nsmallest(k, ranked)]
+
+
+#: Relative slack on a walk's bound, so float rounding in the bound
+#: can never stop a walk before the top k is proven.
+_BOUND_SLACK = 1e-9
+
+
+def _rank_walk(walk, names: Sequence[str], k: int, best_first: bool,
+               ids: Sequence[int] | None, excluded: AbstractSet[int],
+               ) -> list[ConceptAndSimilarity]:
+    """The top ``k`` candidates by the scores of a kernel walk.
+
+    The candidates are ``ids`` (every node by default) less
+    ``excluded``, a subset of them.  Ranking best first, the walk stops
+    as soon as ``k`` candidates are in and the k-th best beats the
+    bound on everything not yet reached; the test is strict, so
+    candidates tied at the cut are always reached.  Otherwise the walk
+    runs out, and every node it never reached scores 0.0.
+    """
+    if ids is None:
+        def selected(node_ids):
+            return map(not_, map(excluded.__contains__, node_ids))
+    else:
+        members = frozenset(ids)
+
+        def selected(node_ids):
+            return map(members.__contains__, node_ids)
+    walked: list[int] = []
+    scores: list[float] = []
+    top: list[float] = []
+    for node_ids, values, bound in walk:
+        walked += node_ids
+        scores += values
+        if best_first and k > 0:
+            top = heapq.nlargest(k, chain(top, compress(values,
+                                                        selected(node_ids))))
+            if len(top) == k and top[-1] > bound * (1.0 + _BOUND_SLACK):
+                break
+    else:
+        # A walk reaches each node once at most.
+        if len(walked) < len(names):
+            unreached = set(range(len(names))).difference(walked)
+            walked += unreached
+            scores += repeat(0.0, len(unreached))
+    if ids is not None:
+        keep = list(selected(walked))
+        walked = list(compress(walked, keep))
+        scores = list(compress(scores, keep))
+        excluded = frozenset()
+    return _top_k_ids(names, walked, scores, k, best_first, excluded)
 
 
 class SOQASimPackToolkit:
@@ -595,10 +643,11 @@ class SOQASimPackToolkit:
         The candidate set is the named ontology taxonomy (sub)tree, or
         all loaded concepts when no subtree is named.  Results come
         sorted best-first; ties break alphabetically for determinism.
-        A measure the batch kernel scores is swept over the whole
-        taxonomy in one pass (``workers`` is ignored); any other is
-        scored per candidate, in parallel when ``workers`` (or
-        ``SST_WORKERS``) exceeds 1.
+        A measure the batch kernel scores is ranked from a best-first
+        walk out from the concept, which stops once the top ``k`` is
+        proven (``workers`` is ignored); any other is scored per
+        candidate, in parallel when ``workers`` (or ``SST_WORKERS``)
+        exceeds 1.
         """
         telemetry.count("facade.get_most_similar_concepts.calls")
         return self._k_most(True, concept_name, concept_ontology_name,
@@ -616,7 +665,11 @@ class SOQASimPackToolkit:
                                      workers: int | None = None,
                                      engine: str | None = None,
                                      ) -> list[ConceptAndSimilarity]:
-        """The ``k`` most dissimilar concepts for the given one."""
+        """The ``k`` most dissimilar concepts for the given one.
+
+        A kernel measure's walk runs to the end here: the least similar
+        concepts are the last it would reach.
+        """
         telemetry.count("facade.get_most_dissimilar_concepts.calls")
         return self._k_most(False, concept_name, concept_ontology_name,
                             subtree_root_concept_name, subtree_ontology_name,
@@ -668,9 +721,10 @@ class SOQASimPackToolkit:
                             candidates=count, k=k):
             if count == 0:
                 return []
-            scores = kernel.sweep(runner, kernel.resolve_id(anchor))
-            return _top_k_ids(tables.names, scores, k, best_first, ids,
-                              excluded)
+            with closing(kernel.walk(runner,
+                                     kernel.resolve_id(anchor))) as walk:
+                return _rank_walk(walk, tables.names, k, best_first, ids,
+                                  excluded)
 
     def get_similarity_matrix(self, concepts: Sequence[ConceptRef],
                               measure: int | str | Measure,

@@ -17,18 +17,21 @@ Each measure is a *statistic* per pair (the via-ancestor distance, the
 MRCA's distance sum and depth, the most informative common subsumer's
 IC, or the shared-descendant count) and a *formula* over it.  The
 statistic has two forms: :meth:`SimilarityKernel.batch` intersects the
-two ancestor maps of every pair, and :meth:`SimilarityKernel.sweep` —
-the k-most services' entry — computes it for one anchor against every
-node at once, in one pass over the DAG in topological order.  Both feed
-the same formula code.
+two ancestor maps of every pair, and :meth:`SimilarityKernel.walk` —
+the k-most services' entry — finds it for one anchor, best first: it
+walks out from the anchor's ancestors down the child edges and yields
+the nodes in batches, each with a bound on every score still to come,
+so a top-k query stops as soon as its answer is proven and a
+bottom-k query runs it to the end.  Both forms feed the same formula
+code.
 
 **Bit-identical parity with the per-pair path is the contract**, for
-the sweep as for the batch.  Every evaluator replicates its scalar
+the walk as for the batch.  Every evaluator replicates its scalar
 formula operation by operation — same integer arithmetic, same float
 expression shapes, same special cases and tie-breaks — and is gated by
 the golden 26-measure matrix fixture, the serial-vs-parallel
 divergence tests, randomized-DAG ``kernel == naive`` property tests and
-the sweep's top-k differential tests.  Measures without a batch form
+the walk's top-k differential tests.  Measures without a batch form
 (the string, vector, text and tree measures, and any user-subclassed
 runner) transparently fall back to the per-pair loop.
 
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core import telemetry
@@ -374,98 +377,132 @@ class SimilarityKernel:
         return [(descendant_bits[first] & descendant_bits[second]).bit_count()
                 for first, second in id_pairs]
 
-    # -- one-anchor statistics over every node -------------------------------
+    # -- one-anchor walks, best first ---------------------------------------
     #
-    # The same statistics as above for ``(anchor, node)`` at every node
-    # at once.  Each of the first three is an aggregate over the common
-    # ancestors, and a node's ancestors are itself plus its parents'
-    # ancestors, so one pass in topological order carries it down the
-    # DAG: ``best[node]`` combines the node's own term (when it is an
-    # ancestor of the anchor) with its parents' ``best`` values.
+    # The same statistics as above for ``(anchor, node)``, found in
+    # best-first batches.  Each walk yields ``(node_ids, statistic,
+    # bound_node, bound_statistic)``: the batch's nodes and their
+    # statistic, plus one stand-in pair ``(anchor, bound_node)`` whose
+    # score, under ``bound_statistic``, no node yielded later beats.
+    # ``bound_node`` is ``None`` when every node left shares nothing
+    # with the anchor, i.e. scores 0.0.  A node no walk reaches shares
+    # no ancestor (or, for the overlap, no descendant) with the anchor.
 
-    def _sweep_distance(self, anchor: int) -> list[int]:
-        """``_pair_distance`` of ``(anchor, node)`` for every node.
+    def _seed_levels(self, anchor: int) -> list[list[int]]:
+        """The anchor's ancestors-or-self, bucketed by distance."""
+        distances = self.tables.ancestor_distances[anchor]
+        levels: list[list[int]] = [[] for _ in range(
+            max(distances.values()) + 1)]
+        for ancestor, distance in distances.items():
+            levels[distance].append(ancestor)
+        return levels
 
-        ``best[node]`` is ``min(d(anchor, node) if node is an ancestor
-        of the anchor, min over parents of best[parent] + 1)``.
+    def _walk_distance(self, anchor: int):
+        """``_pair_distance`` of ``(anchor, node)``, one distance a batch.
+
+        A level-synchronous BFS down the child edges, each ancestor of
+        the anchor joining it at its own distance: it reaches a node at
+        the least ``d(anchor, a) + d(node, a)`` over the common
+        ancestors ``a``, the pair form's minimum.  ``-1`` as the bound
+        node is a stand-in candidate that is never the anchor.
         """
-        tables = self.tables
-        # Above every real via-ancestor distance (each leg < size):
-        # nodes without a common ancestor keep exactly this value.
-        far = 2 * tables.size
-        best = [far] * tables.size
-        for ancestor, distance in tables.ancestor_distances[anchor].items():
-            best[ancestor] = distance
-        parent_ids = tables.parent_ids
-        for node in tables.order:
-            own = best[node]
-            for parent in parent_ids[node]:
-                via = best[parent] + 1
-                if via < own:
-                    own = via
-            best[node] = own
-        if max(best, default=0) == far:
-            best = [-1 if total == far else total for total in best]
-        return best
+        child_ids = self.tables.child_ids
+        seeds = self._seed_levels(anchor)
+        seen = bytearray(self.tables.size)
+        frontier: list[int] = []
+        level = 0
+        while frontier or level < len(seeds):
+            batch: list[int] = []
+            for node in frontier:
+                for child in child_ids[node]:
+                    if not seen[child]:
+                        seen[child] = 1
+                        batch.append(child)
+            if level < len(seeds):
+                for node in seeds[level]:
+                    if not seen[node]:
+                        seen[node] = 1
+                        batch.append(node)
+            yield batch, [level] * len(batch), -1, [level + 1]
+            frontier = batch
+            level += 1
 
-    def _sweep_mrca(self, anchor: int) -> tuple[list[int], list[int]]:
-        """``_pair_mrca`` of ``(anchor, node)`` for every node.
+    def _walk_mrca(self, anchor: int):
+        """``_pair_mrca`` of ``(anchor, node)``, one distance sum a batch.
 
-        The distance recurrence of :meth:`_sweep_distance`, carrying
-        alongside each minimal sum the largest MRCA depth among the
-        ancestors that tie at it.
+        :meth:`_walk_distance`, carrying the largest MRCA depth among
+        the ancestors at the minimal sum: a node's is the largest pushed
+        by its parents one level up, and its own depth if it is itself
+        an ancestor of the anchor at exactly this distance.  Depths are
+        shortest depths, so an ancestor may lie deeper than the anchor:
+        the bound takes the deepest one.
         """
-        tables = self.tables
-        far = 2 * tables.size
-        sums = [far] * tables.size
-        mrca_depths = [-1] * tables.size
-        depths = tables.depths
-        for ancestor, distance in tables.ancestor_distances[anchor].items():
-            sums[ancestor] = distance
-            mrca_depths[ancestor] = depths[ancestor]
-        parent_ids = tables.parent_ids
-        for node in tables.order:
-            total = sums[node]
-            depth = mrca_depths[node]
-            for parent in parent_ids[node]:
-                via = sums[parent] + 1
-                if via < total:
-                    total = via
-                    depth = mrca_depths[parent]
-                elif via == total and mrca_depths[parent] > depth:
-                    depth = mrca_depths[parent]
-            sums[node] = total
-            mrca_depths[node] = depth
-        if max(sums, default=0) == far:
-            sums = [-1 if total == far else total for total in sums]
-        return sums, mrca_depths
+        child_ids = self.tables.child_ids
+        depths = self.tables.depths
+        seeds = self._seed_levels(anchor)
+        deepest = [max(depths[node] for level in seeds for node in level)]
+        seen = bytearray(self.tables.size)
+        frontier: dict[int, int] = {}
+        level = 0
+        while frontier or level < len(seeds):
+            batch: dict[int, int] = {}
+            for node, depth in frontier.items():
+                for child in child_ids[node]:
+                    if not seen[child]:
+                        seen[child] = 1
+                        batch[child] = depth
+                    elif child in batch and depth > batch[child]:
+                        batch[child] = depth
+            if level < len(seeds):
+                for node in seeds[level]:
+                    depth = depths[node]
+                    if not seen[node]:
+                        seen[node] = 1
+                        batch[node] = depth
+                    elif node in batch and depth > batch[node]:
+                        batch[node] = depth
+            yield (list(batch), ([level] * len(batch), list(batch.values())),
+                   -1, ([level + 1], deepest))
+            frontier = batch
+            level += 1
 
-    def _sweep_mics(self, anchor: int) -> list[float | None]:
-        """``_pair_mics`` of ``(anchor, node)`` for every node.
+    def _walk_mics(self, anchor: int):
+        """``_pair_mics`` of ``(anchor, node)``, one subsumer IC a batch.
 
-        ``best[node]`` is ``max(ic[node] if node is an ancestor of the
-        anchor, max over parents of best[parent])``.
+        The anchor's ancestors by IC, highest first, equal ICs grouped:
+        a group's batch is the not yet visited part of its descendant
+        cones, whose most informative common subsumer with the anchor
+        has exactly the group's IC.  A union of cones is closed
+        downwards, so the search stops at visited nodes.  A
+        descendant's IC is never below its ancestor's, so the next
+        group's first ancestor, as the candidate, bounds the rest.
         """
-        tables = self.tables
+        child_ids = self.tables.child_ids
         ic = self._ic_table()
-        # Every IC is >= 0.0, so -1.0 marks "no common subsumer yet".
-        best = [-1.0] * tables.size
-        for ancestor in tables.ancestor_distances[anchor]:
-            best[ancestor] = ic[ancestor]
-        parent_ids = tables.parent_ids
-        for node in tables.order:
-            own = best[node]
-            for parent in parent_ids[node]:
-                via = best[parent]
-                if via > own:
-                    own = via
-            best[node] = own
-        if min(best, default=0.0) < 0.0:
-            return [None if value < 0.0 else value for value in best]
-        return best
+        ancestors = sorted(self.tables.ancestor_distances[anchor],
+                           key=ic.__getitem__, reverse=True)
+        groups = [list(group) for _, group
+                  in groupby(ancestors, key=ic.__getitem__)]
+        seen = bytearray(self.tables.size)
+        for index, group in enumerate(groups):
+            # No ancestor lies in a cone of higher IC.
+            batch = list(group)
+            for node in batch:
+                seen[node] = 1
+            # The loop also visits the children it appends.
+            for node in batch:
+                for child in child_ids[node]:
+                    if not seen[child]:
+                        seen[child] = 1
+                        batch.append(child)
+            bound_node = (groups[index + 1][0] if index + 1 < len(groups)
+                          else None)
+            yield (batch, [ic[group[0]]] * len(batch), bound_node,
+                   None if bound_node is None else [ic[bound_node]])
 
-    def _sweep_overlap(self, anchor: int) -> list[int]:
-        """``_pair_overlap`` of ``(anchor, node)`` for every node.
+    def _walk_overlap(self, anchor: int):
+        """``_pair_overlap`` of ``(anchor, node)`` for every node it
+        counts, in one batch.
 
         Exact integer counts: every descendant-or-self of the anchor
         adds one to each of its ancestors-or-self.
@@ -474,15 +511,12 @@ class SimilarityKernel:
         descendants = iter_bits(tables.descendant_bits[anchor])
         counts = Counter(chain.from_iterable(
             map(tables.ancestor_distances.__getitem__, descendants)))
-        overlaps = [0] * tables.size
-        for node, count in counts.items():
-            overlaps[node] = count
-        return overlaps
+        yield list(counts), list(counts.values()), None, None
 
     # -- formulas -----------------------------------------------------------
     #
     # Each turns ``id_pairs`` and their statistic into scores, the same
-    # for a batch and a sweep (whose pairs are ``(anchor, node)``).
+    # for a batch and a walk (whose pairs are ``(anchor, node)``).
 
     def _shortest_path(self, id_pairs, distances: list[int]) -> list[float]:
         return [0.0 if distance < 0 else 1.0 / (1.0 + distance)
@@ -624,24 +658,35 @@ class SimilarityKernel:
         telemetry.count("kernel.pairs", len(pairs))
         return values
 
-    def sweep(self, runner: MeasureRunner, anchor_id: int) -> list[float]:
-        """The score of ``(anchor, node)`` for every node ID, in one pass.
+    def walk(self, runner: MeasureRunner, anchor_id: int):
+        """Score ``(anchor, node)`` best first, in batches.
 
-        Element ``i`` is bit-identical to ``batch(runner, [(anchor,
-        node i)])``: the statistic comes from one recurrence over the
-        whole DAG instead of one ancestor-map intersection per node,
-        and the same formula applies it.  ``runner`` must satisfy
-        :func:`batchable`.
+        A generator of ``(node_ids, scores, bound)``: each score is
+        bit-identical to ``batch(runner, [(anchor, node)])``, and
+        ``bound`` is at least the score of every node not yet yielded.
+        Once it is exhausted, every node it never yielded scores
+        exactly 0.0.  ``runner`` must satisfy :func:`batchable`.  A
+        caller that stops early should close the generator, so the
+        ``kernel.walk`` span ends where the caller stops.
         """
         statistic, formula = _BATCH_FORMS[type(runner)]
-        size = self.tables.size
-        with telemetry.span("kernel.sweep", measure=runner.name,
-                            nodes=size):
-            values = getattr(self, formula)(
-                zip(repeat(anchor_id), range(size)),
-                getattr(self, "_sweep_" + statistic)(anchor_id))
-        telemetry.count("kernel.sweeps")
-        return values
+        score = getattr(self, formula)
+        visited = 0
+        with telemetry.span("kernel.walk", measure=runner.name) as record:
+            try:
+                for node_ids, values, bound_node, bound_value in getattr(
+                        self, "_walk_" + statistic)(anchor_id):
+                    visited += len(node_ids)
+                    bound = (0.0 if bound_node is None else
+                             score([(anchor_id, bound_node)], bound_value)[0])
+                    yield (node_ids,
+                           score(zip(repeat(anchor_id), node_ids), values),
+                           bound)
+            finally:
+                if record is not None:
+                    record.labels["visited"] = visited
+                telemetry.count("kernel.walks")
+                telemetry.count("kernel.walk.nodes", visited)
 
 
 # ---------------------------------------------------------------------------

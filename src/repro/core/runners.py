@@ -421,12 +421,11 @@ class ExtensionalRunner(MeasureRunner):
         taxonomy = self.wrapper.taxonomy
         first_node = self.wrapper.node(first)
         second_node = self.wrapper.node(second)
-        first_set = taxonomy.descendants(first_node) | {first_node}
-        second_set = taxonomy.descendants(second_node) | {second_node}
-        union = len(first_set | second_set)
-        if union == 0:
-            return 0.0
-        return len(first_set & second_set) / union
+        # |A ∩ B| / |A ∪ B| from counts: every set holds its own node,
+        # so the union is never empty.
+        shared = taxonomy.shared_descendant_count(first_node, second_node)
+        return shared / (taxonomy.descendant_count(first_node)
+                         + taxonomy.descendant_count(second_node) - shared)
 
 
 class TreeEditRunner(MeasureRunner):

@@ -215,6 +215,11 @@ class Taxonomy:
             self._descendant_count_cache[node] = cached
         return cached
 
+    def shared_descendant_count(self, first: str, second: str) -> int:
+        """Number of distinct descendants-or-self ``first`` and
+        ``second`` have in common."""
+        return self.compile().shared_descendant_count(first, second)
+
     def descendants(self, node: str) -> set[str]:
         """All distinct descendants of ``node`` (excluding itself)."""
         return self.compile().descendants(node)

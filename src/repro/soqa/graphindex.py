@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from repro.errors import OntologyParseError, UnknownConceptError
 
@@ -59,19 +59,17 @@ class TaxonomyTables:
     maps and descendant bitsets are shared with the index itself —
     tuples on a freshly compiled index, lazy mmap-backed views on an
     artifact-loaded one — and support only indexing; they must be
-    treated as immutable.  ``parent_ids`` and :attr:`order` (parents
-    before children) let a consumer run one recurrence over the whole
-    DAG; node IDs themselves are *not* topological.
+    treated as immutable.  ``child_ids`` lets a consumer walk down
+    the DAG from any node.
     """
 
     __slots__ = ("names", "ids", "size", "max_depth", "depths",
-                 "parent_ids", "ancestor_distances", "descendant_bits",
-                 "descendant_counts", "_topological_order")
+                 "child_ids", "ancestor_distances", "descendant_bits",
+                 "descendant_counts")
 
     def __init__(self, names: list[str], ids: dict[str, int],
                  depths: "array[int]", max_depth: int,
-                 parent_ids: list[tuple[int, ...]],
-                 topological_order: Callable[[], list[int]],
+                 child_ids: list[tuple[int, ...]],
                  ancestor_distances,
                  descendant_bits,
                  descendant_counts: "array[int]"):
@@ -80,20 +78,10 @@ class TaxonomyTables:
         self.size = len(names)
         self.depths = depths
         self.max_depth = max_depth
-        self.parent_ids = parent_ids
-        self._topological_order = topological_order
+        self.child_ids = child_ids
         self.ancestor_distances = ancestor_distances
         self.descendant_bits = descendant_bits
         self.descendant_counts = descendant_counts
-
-    @property
-    def order(self) -> list[int]:
-        """Every node ID, each after all of its parents.
-
-        The order the compile pass used; on an artifact-loaded index it
-        is derived on first use, so warm-loading stays O(1).
-        """
-        return self._topological_order()
 
 
 class CompiledTaxonomy:
@@ -110,7 +98,7 @@ class CompiledTaxonomy:
         "_names", "_ids", "_parent_ids", "_child_ids",
         "_ancestor_distances",
         "_descendant_bits", "_descendant_counts", "_depths", "_longest",
-        "_max_depth", "_neighbor_ids", "_tables", "_order",
+        "_max_depth", "_neighbor_ids", "_tables",
     )
 
     def __init__(self, parents: Mapping[str, Iterable[str]]):
@@ -170,7 +158,6 @@ class CompiledTaxonomy:
         self._max_depth = max_depth
         self._neighbor_ids = None
         self._tables = None
-        self._order = None
         return self
 
     def state(self) -> dict:
@@ -222,15 +209,9 @@ class CompiledTaxonomy:
         cycle = trail[seen[current]:] + [current]
         return " -> ".join(self._names[index] for index in cycle)
 
-    def topological_order(self) -> list[int]:
-        """Node IDs, parents first: the compile order, or derived once."""
-        if self._order is None:
-            self._order = self._topological_ids()
-        return self._order
-
     def _compile(self) -> None:
         size = len(self._names)
-        order = self._order = self._topological_ids()
+        order = self._topological_ids()
         ancestor_distances: list[dict[int, int]] = [{}] * size
         depths = [0] * size
         longest = [0] * size
@@ -289,8 +270,7 @@ class CompiledTaxonomy:
                 ids=self._ids,
                 depths=array("l", self._depths),
                 max_depth=self._max_depth,
-                parent_ids=self._parent_ids,
-                topological_order=self.topological_order,
+                child_ids=self._child_ids,
                 ancestor_distances=distances,
                 descendant_bits=descendant_bits,
                 descendant_counts=counts,
@@ -455,6 +435,11 @@ class CompiledTaxonomy:
         if counts is not None:
             return counts[index]
         return self._descendant_bits[index].bit_count()
+
+    def shared_descendant_count(self, first: str, second: str) -> int:
+        """Descendants-or-self common to both nodes: one bitset popcount."""
+        bits = self._descendant_bits
+        return (bits[self._id(first)] & bits[self._id(second)]).bit_count()
 
     def descendants(self, node: str) -> set[str]:
         index = self._id(node)

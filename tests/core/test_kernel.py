@@ -13,6 +13,7 @@ from repro.core.results import QualifiedConcept
 from repro.core.runners import (LinRunner, MeasureRunner,
                                 ShortestPathRunner)
 from repro.errors import SSTCoreError, UnknownConceptError
+from repro.ontologies.generator import generate_wordnet_taxonomy
 
 #: Every measure with a kernel batch form.
 BATCHABLE_MEASURES = (
@@ -365,26 +366,51 @@ class TestTelemetry:
         assert registry.value("kernel.batches") == 0
         assert registry.value("kernel.fallback.batches") == 0
 
-    def test_kernel_ksim_is_one_sweep(self, mini_soqa):
+    def test_kernel_ksim_is_one_walk(self, mini_soqa):
         sst = SOQASimPackToolkit(mini_soqa, cache=False)
         telemetry.reset()
         sst.get_most_similar_concepts("Person", "univ", k=3,
                                       measure=Measure.LIN)
         registry = telemetry.get_registry()
-        assert registry.value("kernel.sweeps") == 1
+        assert registry.value("kernel.walks") == 1
         assert registry.value("kernel.batches") == 0
         (root,) = [root for root in telemetry.get_tracer().drain()
                    if root.name == "facade.most_similar"]
-        sweep = root.find("kernel.sweep")
-        assert sweep.labels == {"measure": "Lin",
-                                "nodes": len(sst.tree.taxonomy)}
+        walk = root.find("kernel.walk")
+        assert walk.labels == {"measure": "Lin",
+                               "visited": registry.value("kernel.walk.nodes")}
+        assert 0 < walk.labels["visited"] <= len(sst.tree.taxonomy)
 
-    def test_per_pair_ksim_records_no_sweep(self, mini_soqa):
+    def test_per_pair_ksim_records_no_walk(self, mini_soqa):
         sst = SOQASimPackToolkit(mini_soqa, cache=False)
         telemetry.reset()
         sst.get_most_similar_concepts("Person", "univ", k=3,
                                       measure=Measure.TFIDF)
-        assert telemetry.get_registry().value("kernel.sweeps") == 0
+        assert telemetry.get_registry().value("kernel.walks") == 0
+
+    def test_similar_walk_stops_early_dissimilar_visits_all(self):
+        # Counts nodes, not time: a k=10 similar query from a leaf of a
+        # 5 000-node WordNet-shaped taxonomy reaches a few of them; the
+        # dissimilar query has to reach every one.
+        from tests.core.test_sweep import facade_over
+
+        parents = generate_wordnet_taxonomy(5000, seed=0)
+        inner = {parent for row in parents.values() for parent in row}
+        leaf = min(set(parents) - inner)
+        sst = facade_over(parents)
+        size = len(sst.tree.taxonomy)
+        registry = telemetry.get_registry()
+        for measure in (Measure.SHORTEST_PATH, Measure.EDGE,
+                        Measure.LEACOCK_CHODOROW, Measure.EXTENSIONAL):
+            telemetry.reset()
+            sst.get_most_similar_concepts(leaf, "hyp", k=10,
+                                          measure=measure)
+            assert registry.value("kernel.walk.nodes") < 0.05 * size, \
+                measure
+        telemetry.reset()
+        sst.get_most_dissimilar_concepts(leaf, "hyp", k=10,
+                                         measure=Measure.SHORTEST_PATH)
+        assert registry.value("kernel.walk.nodes") == size
 
 
 class TestStandaloneCorpus:

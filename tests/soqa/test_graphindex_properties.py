@@ -130,6 +130,9 @@ def assert_matches_networkx(parents: dict[str, list[str]],
         assert taxonomy.mrca(first, second) == oracle.mrca(first, second)
         assert (taxonomy.common_ancestors(first, second)
                 == oracle.common_ancestors(first, second))
+        assert taxonomy.shared_descendant_count(first, second) == len(
+            (oracle.descendants(first) | {first})
+            & (oracle.descendants(second) | {second}))
         assert (taxonomy.shortest_path_length(first, second, VIA_ANCESTOR)
                 == oracle.via_ancestor(first, second))
         if first not in undirected:
