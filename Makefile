@@ -17,8 +17,8 @@ test:
 chaos:
 	$(PY) -m pytest tests/chaos -q
 
-# Service battery: byte-for-byte CLI parity, coalescing/concurrency
-# hammers and HTTP fuzz over a live `sst serve`, plus chaos under
+# Service battery: byte-for-byte CLI parity, hammer concurrency
+# and HTTP fuzz over a live `sst serve`, plus chaos under
 # traffic and lifecycle chaos (real SIGTERM drains, kill -9 imports;
 # the CI "serve" job).
 serve-test:

@@ -338,10 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
              "finish before the process exits (default: "
              "SST_SERVE_DRAIN, else 10)")
     serve.add_argument(
-        "--no-keep-alive", action="store_true", dest="no_keep_alive",
-        help="close every connection after one request instead of "
-             "HTTP keep-alive (default: SST_SERVE_KEEPALIVE, else on)")
-    serve.add_argument(
         "--idle-timeout", type=float, default=None, metavar="SECONDS",
         dest="idle_timeout",
         help="close a kept-alive connection after this long without a "
@@ -350,8 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-requests-per-conn", type=int, default=None, metavar="N",
         dest="max_requests_per_conn",
-        help="requests served per connection before it is closed "
-             "(default: SST_SERVE_MAX_REQUESTS, else 100)")
+        help="requests served per connection before it is closed; 1 "
+             "turns keep-alive off (default: SST_SERVE_MAX_REQUESTS, "
+             "else 100)")
     serve.add_argument(
         "--max-connections", type=int, default=None, metavar="N",
         dest="max_connections",
@@ -719,7 +716,6 @@ def _run_serve(sst: SOQASimPackToolkit,
         breaker_threshold=arguments.breaker_threshold,
         breaker_reset=arguments.breaker_reset,
         drain_seconds=arguments.drain_timeout,
-        keep_alive=False if arguments.no_keep_alive else None,
         idle_timeout=arguments.idle_timeout,
         max_requests_per_connection=arguments.max_requests_per_conn,
         max_connections=arguments.max_connections,

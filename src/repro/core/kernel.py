@@ -35,14 +35,6 @@ the walk's top-k differential tests.  Measures without a batch form
 (the string, vector, text and tree measures, and any user-subclassed
 runner) transparently fall back to the per-pair loop.
 
-An optional numpy fast path sits behind a feature probe
-(:func:`numpy_available`).  It is only used for the *formula
-application* stage — elementwise float64 arithmetic and table gathers,
-which IEEE 754 rounds exactly like the scalar expressions — never for
-transcendentals, which are always precomputed per node (or per distinct
-distance) with :mod:`math`.  Results are therefore bit-identical with
-and without numpy installed.
-
 The kernel always scores what it can batch; no user-facing switch
 picks the per-pair loop.  The ``engine="naive"`` keyword of
 :class:`~repro.core.parallel.BatchSimilarityEngine` and the facade's
@@ -97,10 +89,6 @@ NAIVE = "naive"
 #: All batch-engine selections.
 ENGINES = (KERNEL, NAIVE)
 
-#: Pair count from which the numpy fast path pays for its conversion
-#: overhead; below it the plain loops win.
-_NUMPY_MIN_PAIRS = 64
-
 
 def resolve_engine(engine: str | None = None) -> str:
     """The batch engine to use: the validated argument, or the kernel.
@@ -119,21 +107,13 @@ def resolve_engine(engine: str | None = None) -> str:
     return engine
 
 
-def _probe_numpy():
-    """The numpy module if importable, else ``None`` (feature probe)."""
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
-
-
-_NUMPY = _probe_numpy()
-
-
 def numpy_available() -> bool:
-    """Whether the optional numpy fast path is active."""
-    return _NUMPY is not None
+    """Always ``False``: the kernel has no numpy path.
+
+    Kept because the benchmark records this value in its run
+    conditions.
+    """
+    return False
 
 
 #: The runners with a batch form, by *exact* class: the per-pair
@@ -252,7 +232,7 @@ class SimilarityKernel:
 
         The one transcendental of the path measures; computed with
         :func:`math.log` exactly as the scalar formula, once per
-        distinct distance, so the numpy fast path never touches a log.
+        distinct distance.
         """
         value = self._lc_values.get(distance)
         if value is None:
@@ -551,8 +531,6 @@ class SimilarityKernel:
                                mrca: tuple[list[int], list[int]],
                                ) -> list[float]:
         sums, mrca_depths = mrca
-        if _NUMPY is not None and len(sums) >= _NUMPY_MIN_PAIRS:
-            return self._conceptual_similarity_numpy(sums, mrca_depths)
         values: list[float] = []
         for total, depth in zip(sums, mrca_depths):
             if total < 0:
@@ -561,25 +539,6 @@ class SimilarityKernel:
             root_nodes = depth + 1
             values.append(2.0 * root_nodes / (total + 2.0 * root_nodes))
         return values
-
-    def _conceptual_similarity_numpy(self, sums: list[int],
-                                     mrca_depths: list[int]) -> list[float]:
-        """Wu-Palmer formula application, vectorized.
-
-        Only exactly-rounded float64 elementwise arithmetic — the int64
-        inputs convert exactly (distance sums and depths are far below
-        2**53), so every lane reproduces the scalar expression bit for
-        bit.
-        """
-        numpy = _NUMPY
-        total = numpy.asarray(sums, dtype=numpy.int64)
-        root_nodes = (numpy.asarray(mrca_depths, dtype=numpy.int64)
-                      + 1).astype(numpy.float64)
-        doubled = 2.0 * root_nodes
-        with numpy.errstate(divide="ignore", invalid="ignore"):
-            scores = doubled / (total.astype(numpy.float64) + doubled)
-        scores[total < 0] = 0.0
-        return scores.tolist()
 
     def _lin(self, id_pairs, subsumer_ics: list[float | None],
              ) -> list[float]:

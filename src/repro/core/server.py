@@ -9,9 +9,6 @@ HTTP/JSON server on :func:`asyncio.start_server` that
 * loads ontologies **once** (including ``.sstdb`` sqlite stores) and
   shares the facade — CompiledTaxonomy tables, SimilarityKernel, the
   per-pair measures' CachedRunner L1/L2 — across all requests,
-* **coalesces** duplicate in-flight pair queries across requests
-  (:class:`PairGate`): the first request computes, everyone else waits
-  on the same slot, counted as ``server.coalesced``,
 * **batches** each request's pairs through the existing batch
   kernel/parallel engine (one ``score_pairs`` call per request, not a
   Python loop per pair),
@@ -112,11 +109,9 @@ __all__ = [
     "DEADLINE_ENV",
     "DRAIN_ENV",
     "IDLE_ENV",
-    "KEEPALIVE_ENV",
     "MAX_BODY_ENV",
     "MAX_CONNECTIONS_ENV",
     "MAX_REQUESTS_ENV",
-    "PairGate",
     "QUEUE_LIMIT_ENV",
     "RequestError",
     "ServerConfig",
@@ -137,7 +132,6 @@ BREAKER_RESET_ENV = "SST_SERVE_BREAKER_RESET"
 DRAIN_ENV = "SST_SERVE_DRAIN"
 IDLE_ENV = "SST_SERVE_IDLE"
 HEADER_TIMEOUT_ENV = "SST_SERVE_HEADER_TIMEOUT"
-KEEPALIVE_ENV = "SST_SERVE_KEEPALIVE"
 MAX_REQUESTS_ENV = "SST_SERVE_MAX_REQUESTS"
 MAX_CONNECTIONS_ENV = "SST_SERVE_MAX_CONNECTIONS"
 QUEUE_LIMIT_ENV = "SST_SERVE_QUEUE"
@@ -180,13 +174,6 @@ def _env_int(name: str, default: int) -> int:
         return default
 
 
-def _env_flag(name: str, default: bool) -> bool:
-    raw = os.environ.get(name, "").strip().lower()
-    if not raw:
-        return default
-    return raw not in ("0", "off", "false", "no")
-
-
 class ServerConfig:
     """Resolved ``sst serve`` settings (flag beats env beats default).
 
@@ -208,7 +195,6 @@ class ServerConfig:
                  breaker_reset: float | None = None,
                  io_timeout: float = 30.0,
                  drain_seconds: float | None = None,
-                 keep_alive: bool | None = None,
                  idle_timeout: float | None = None,
                  header_timeout: float | None = None,
                  max_requests_per_connection: int | None = None,
@@ -236,8 +222,6 @@ class ServerConfig:
         self.drain_seconds = (
             drain_seconds if drain_seconds is not None
             else max(0.0, _env_float(DRAIN_ENV, 10.0)))
-        self.keep_alive = (keep_alive if keep_alive is not None
-                           else _env_flag(KEEPALIVE_ENV, True))
         self.idle_timeout = (idle_timeout if idle_timeout is not None
                              else _env_float(IDLE_ENV, 30.0))
         self.header_timeout = (
@@ -294,111 +278,6 @@ class RequestError(SSTCoreError):
 
 
 # ---------------------------------------------------------------------------
-# Cross-request pair coalescing
-# ---------------------------------------------------------------------------
-
-
-class _Slot:
-    """One in-flight pair computation: leader fills, followers wait."""
-
-    __slots__ = ("event", "value", "error")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.value: float | None = None
-        self.error: BaseException | None = None
-
-
-class PairGate:
-    """Coalesces duplicate in-flight pair queries across requests.
-
-    Each request partitions its (measure, pair) keys into *owned*
-    (first in flight — this thread computes them, in **one** batch via
-    the facade engine) and *foreign* (another request is already
-    computing — wait on its slot instead of recomputing).  Foreign
-    waits are bounded by the request deadline and counted as
-    ``server.coalesced``; every batch computed here increments
-    ``server.batches`` / ``server.batch_pairs``.
-    """
-
-    def __init__(self, toolkit):
-        self._toolkit = toolkit
-        self._lock = threading.Lock()
-        self._inflight: dict[tuple, _Slot] = {}
-
-    @staticmethod
-    def _key(measure_name: str, first: QualifiedConcept,
-             second: QualifiedConcept) -> tuple:
-        endpoints = sorted([(first.ontology_name, first.concept_name),
-                            (second.ontology_name, second.concept_name)])
-        return (measure_name, endpoints[0], endpoints[1])
-
-    def score(self, measure, pairs: Sequence[tuple],
-              deadline: Deadline) -> list[float]:
-        """Similarity of every pair, in order, coalesced and batched."""
-        runner = self._toolkit.runner(measure)
-        keys = [self._key(runner.name, first, second)
-                for first, second in pairs]
-        mine: dict[tuple, _Slot] = {}
-        theirs: dict[tuple, _Slot] = {}
-        representative: dict[tuple, tuple] = {}
-        coalesced = 0
-        with self._lock:
-            for key, pair in zip(keys, pairs):
-                if key in mine or key in theirs:
-                    continue
-                slot = self._inflight.get(key)
-                if slot is not None:
-                    theirs[key] = slot
-                    coalesced += 1
-                else:
-                    slot = _Slot()
-                    self._inflight[key] = slot
-                    mine[key] = slot
-                    representative[key] = pair
-        if coalesced:
-            telemetry.count("server.coalesced", coalesced)
-        if mine:
-            self._compute(measure, mine, representative)
-        resolved: dict[tuple, float] = {key: slot.value
-                                        for key, slot in mine.items()}
-        for key, slot in theirs.items():
-            if not slot.event.wait(deadline.remaining()):
-                raise DeadlineExceededError(
-                    "coalesced pair wait exceeded the request deadline")
-            if slot.error is not None:
-                raise SSTCoreError(
-                    f"coalesced computation failed: {slot.error}"
-                ) from slot.error
-            resolved[key] = slot.value
-        return [resolved[key] for key in keys]
-
-    def _compute(self, measure, mine: dict[tuple, _Slot],
-                 representative: dict[tuple, tuple]) -> None:
-        """Leader path: one engine batch for every owned key."""
-        owned_keys = list(mine)
-        owned_pairs = [representative[key] for key in owned_keys]
-        try:
-            values = self._toolkit.engine(measure).score_pairs(owned_pairs)
-        except BaseException as error:
-            for slot in mine.values():
-                slot.error = error
-                slot.event.set()
-            with self._lock:
-                for key in owned_keys:
-                    self._inflight.pop(key, None)
-            raise
-        for key, value in zip(owned_keys, values):
-            mine[key].value = value
-            mine[key].event.set()
-        with self._lock:
-            for key in owned_keys:
-                self._inflight.pop(key, None)
-        telemetry.count("server.batches")
-        telemetry.count("server.batch_pairs", len(owned_pairs))
-
-
-# ---------------------------------------------------------------------------
 # Transport-independent request handling
 # ---------------------------------------------------------------------------
 
@@ -438,7 +317,6 @@ class SimilarityService:
 
     def __init__(self, toolkit, breaker: CircuitBreaker | None = None):
         self.toolkit = toolkit
-        self.gate = PairGate(toolkit)
         self.breaker = breaker if breaker is not None else CircuitBreaker(
             name="server")
         self._corpus_summary: dict | None = None
@@ -535,14 +413,15 @@ class SimilarityService:
                 second = self._validate_concept(
                     *_concept_ref(entry[2:], "pairs"))
                 pairs.append((first, second))
-            values = self.gate.score(measure, pairs, deadline)
+            values = self.toolkit.engine(measure).score_pairs(pairs)
             return {"measure": runner_name, "values": values}
         if "first" in payload or "second" in payload:
             first = self._validate_concept(
                 *_concept_ref(payload.get("first"), "first"))
             second = self._validate_concept(
                 *_concept_ref(payload.get("second"), "second"))
-            values = self.gate.score(measure, [(first, second)], deadline)
+            values = self.toolkit.engine(measure).score_pairs(
+                [(first, second)])
             return {"measure": runner_name, "similarity": values[0]}
         raise RequestError(
             422, "missing_field",
@@ -866,7 +745,7 @@ class SimilarityServer:
             served += 1
             if served > 1:
                 telemetry.count("server.keepalive.reuse")
-            keep = (keep and self.config.keep_alive
+            keep = (keep
                     and served < self.config.max_requests_per_connection
                     and self.lifecycle.accepts_work())
             telemetry.count("server.requests")

@@ -54,8 +54,7 @@ class TaxonomyTables:
     instead of re-deriving per-node structure through the string-keyed
     query API pair by pair, a kernel reads these tables once and works
     in dense integer IDs.  Scalar per-node columns are stdlib
-    ``array`` objects (cheap to scan, and a zero-copy ``memoryview``
-    away from any optional numpy fast path); the ancestor-distance
+    ``array`` objects (cheap to scan); the ancestor-distance
     maps and descendant bitsets are shared with the index itself —
     tuples on a freshly compiled index, lazy mmap-backed views on an
     artifact-loaded one — and support only indexing; they must be

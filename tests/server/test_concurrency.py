@@ -1,18 +1,16 @@
-"""Concurrency: coalescing, shared-cache integrity, deadline-bounded
-waits.
+"""Concurrency: duplicate in-flight pairs, shared-cache integrity,
+deadline-bounded computations.
 
-The service promises that duplicate in-flight pair queries are computed
-**once** (the leader runs one engine batch; followers wait on its slot)
-and that parallel clients can never corrupt each other's responses.
-The deterministic tests drive a gated runner — the leader parks inside
-the measure until the test releases it, giving the follower all the
-time in the world to coalesce — and the hammer test checks a storm of
-overlapping requests against single-threaded ground truth, float for
-float.
+Parallel clients can never corrupt each other's responses.  The
+deterministic tests drive a gated runner — each computation parks
+inside the measure until the test releases it — and the hammer test
+checks a storm of overlapping requests against single-threaded ground
+truth, float for float.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 import zlib
@@ -63,12 +61,13 @@ def gated_factory(controller: GateController):
     return factory
 
 
-def wait_for_counter(name: str, target: int, timeout: float = 10.0):
+def wait_for_calls(controller: GateController, target: int,
+                   timeout: float = 10.0):
     deadline = time.monotonic() + timeout
-    while counter(name) < target:
+    while len(controller.calls) < target:
         if time.monotonic() > deadline:
-            pytest.fail(f"{name} never reached {target} "
-                        f"(at {counter(name)})")
+            pytest.fail(f"the gated runner never reached {target} calls "
+                        f"(at {len(controller.calls)})")
         time.sleep(0.01)
 
 
@@ -93,81 +92,29 @@ def post_in_thread(handle, payload, results: dict, key: str):
     return thread
 
 
-class TestCoalescing:
-    def test_duplicate_inflight_pair_computes_once(self, gated):
+class TestDuplicateInflightPairs:
+    def test_each_request_computes_its_own_pair(self, gated):
         handle, controller, measure_id = gated
         payload = {"first": ["ont", "c"], "second": ["ont", "e"],
                    "measure": measure_id}
-        coalesced = counter("server.coalesced")
-        batches = counter("server.batches")
         results: dict = {}
-        leader = post_in_thread(handle, payload, results, "leader")
-        assert controller.started.wait(10), "leader never reached the gate"
-        follower = post_in_thread(handle, payload, results, "follower")
-        wait_for_counter("server.coalesced", coalesced + 1)
+        first = post_in_thread(handle, payload, results, "first")
+        assert controller.started.wait(10), "first never reached the gate"
+        second = post_in_thread(handle, payload, results, "second")
+        wait_for_calls(controller, 2)
         controller.release.set()
-        leader.join(20)
-        follower.join(20)
-        assert not leader.is_alive() and not follower.is_alive()
-        leader_status, _, leader_body = results["leader"]
-        follower_status, _, follower_body = results["follower"]
-        assert leader_status == follower_status == 200
-        # Identical bytes from one single computation.
-        assert leader_body == follower_body
-        assert len(controller.calls) == 1
-        assert counter("server.batches") == batches + 1
-        assert counter("server.coalesced") == coalesced + 1
-
-    def test_partial_overlap_computes_only_the_fresh_pair(self, gated):
-        handle, controller, measure_id = gated
-        coalesced = counter("server.coalesced")
-        batch_pairs = counter("server.batch_pairs")
-        results: dict = {}
-        leader = post_in_thread(handle, {
-            "pairs": [["ont", "c", "ont", "e"], ["ont", "a", "ont", "b"]],
-            "measure": measure_id}, results, "leader")
-        assert controller.started.wait(10)
-        follower = post_in_thread(handle, {
-            "pairs": [["ont", "c", "ont", "e"], ["ont", "d", "ont", "f"]],
-            "measure": measure_id}, results, "follower")
-        wait_for_counter("server.coalesced", coalesced + 1)
-        controller.release.set()
-        leader.join(20)
-        follower.join(20)
-        assert results["leader"][0] == results["follower"][0] == 200
-        import json
-        leader_values = json.loads(results["leader"][2])["values"]
-        follower_values = json.loads(results["follower"][2])["values"]
-        # The shared (c, e) pair was computed once, by the leader.
-        assert follower_values[0] == leader_values[0]
-        # 2 leader pairs + 1 fresh follower pair = 3 computations total.
-        assert len(controller.calls) == 3
-        assert counter("server.batch_pairs") == batch_pairs + 3
-        assert counter("server.coalesced") == coalesced + 1
-
-    def test_unordered_pair_endpoints_share_one_flight(self, gated):
-        handle, controller, measure_id = gated
-        coalesced = counter("server.coalesced")
-        results: dict = {}
-        leader = post_in_thread(handle, {
-            "first": ["ont", "c"], "second": ["ont", "e"],
-            "measure": measure_id}, results, "leader")
-        assert controller.started.wait(10)
-        # The mirror-image pair must coalesce onto the same slot.
-        follower = post_in_thread(handle, {
-            "first": ["ont", "e"], "second": ["ont", "c"],
-            "measure": measure_id}, results, "follower")
-        wait_for_counter("server.coalesced", coalesced + 1)
-        controller.release.set()
-        leader.join(20)
-        follower.join(20)
-        assert results["leader"][0] == results["follower"][0] == 200
-        assert results["leader"][2] == results["follower"][2]
-        assert len(controller.calls) == 1
+        first.join(20)
+        second.join(20)
+        assert not first.is_alive() and not second.is_alive()
+        first_status, _, first_body = results["first"]
+        second_status, _, second_body = results["second"]
+        assert first_status == second_status == 200
+        assert first_body == second_body
+        assert len(controller.calls) == 2
 
 
-class TestDeadlineBoundedCoalescing:
-    def test_follower_wait_is_cut_off_by_the_deadline(self):
+class TestDeadline:
+    def test_parked_computation_is_cut_off_by_the_deadline(self):
         controller = GateController()
         toolkit = dag_toolkit({"ont": GATED_DAG})
         measure_id = toolkit.register_measure_runner(
@@ -178,18 +125,16 @@ class TestDeadlineBoundedCoalescing:
                        "measure": measure_id}
             deadline_responses = counter("server.responses.deadline")
             results: dict = {}
-            leader = post_in_thread(handle, payload, results, "leader")
+            first = post_in_thread(handle, payload, results, "first")
             assert controller.started.wait(10)
-            follower = post_in_thread(handle, payload, results,
-                                      "follower")
-            leader.join(20)
-            follower.join(20)
+            second = post_in_thread(handle, payload, results, "second")
+            first.join(20)
+            second.join(20)
             # Neither request can outwait its 0.5s deadline while the
             # computation is parked: both come back as typed 504s.
-            for key in ("leader", "follower"):
+            for key in ("first", "second"):
                 status, _, body = results[key]
                 assert status == 504, body
-                import json
                 assert json.loads(body)["error"]["code"] \
                     == "deadline_exceeded"
             assert counter("server.responses.deadline") \

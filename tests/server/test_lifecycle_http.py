@@ -23,6 +23,8 @@ import socket
 import threading
 import time
 
+import pytest
+
 from repro.core import telemetry
 from repro.core.lifecycle import DEGRADED, DRAINING, READY
 from repro.core.registry import Measure
@@ -112,24 +114,16 @@ class TestKeepAlive:
                 assert headers["connection"] == "close"
                 assert sock.recv(65536) == b""  # server closed
 
-    def test_max_requests_per_connection_closes_at_the_cap(self):
-        config = ServerConfig(port=0, max_requests_per_connection=2)
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_max_requests_per_connection_closes_at_the_cap(self, cap):
+        config = ServerConfig(port=0, max_requests_per_connection=cap)
         with serve_in_thread(toolkit(), config) as handle:
             with socket.create_connection((handle.host, handle.port),
                                           timeout=10.0) as sock:
-                sock.sendall(pair_request())
-                _, headers, _ = read_response(sock)
-                assert headers["connection"] == "keep-alive"
-                sock.sendall(pair_request())
-                _, headers, _ = read_response(sock)
-                assert headers["connection"] == "close"
-                assert sock.recv(65536) == b""
-
-    def test_keep_alive_disabled_closes_every_connection(self):
-        config = ServerConfig(port=0, keep_alive=False)
-        with serve_in_thread(toolkit(), config) as handle:
-            with socket.create_connection((handle.host, handle.port),
-                                          timeout=10.0) as sock:
+                for _ in range(cap - 1):
+                    sock.sendall(pair_request())
+                    _, headers, _ = read_response(sock)
+                    assert headers["connection"] == "keep-alive"
                 sock.sendall(pair_request())  # client asks keep-alive
                 _, headers, _ = read_response(sock)
                 assert headers["connection"] == "close"
