@@ -88,9 +88,8 @@ bench-scale:
 # Service throughput + overload posture, quick mode.  Non-gating on
 # timings (loopback HTTP is too noisy to band) but hard on overload
 # correctness: typed 429s with Retry-After, zero 500s.  Writes only the
-# untracked benchmarks/results/BENCH_serve.json; run without
-# SST_BENCH_QUICK=1 for the nightly full-size configuration, which also
-# refreshes BENCH_serve.json at the root.
+# untracked benchmarks/results/BENCH_serve.json, in either mode; run
+# without SST_BENCH_QUICK=1 for the nightly full-size configuration.
 bench-serve:
 	SST_BENCH_QUICK=1 $(PY) -m pytest benchmarks/test_serve_overload.py -q
 

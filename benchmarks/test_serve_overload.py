@@ -1,7 +1,8 @@
 """Experiment SV2 — service throughput and overload posture.
 
 Drives a live in-process ``sst serve`` two ways and records the
-trajectory into ``BENCH_serve.json`` (schema ``sst/bench-serve/v1``):
+trajectory into the untracked ``benchmarks/results/BENCH_serve.json``
+(schema ``sst/bench-serve/v1``):
 
 * **keep-alive vs close throughput** — the same request stream over
   one persistent connection versus a fresh connection per request.
@@ -20,9 +21,8 @@ still asserted hard — byte-identical responses, typed 429s with
 regression test; only the timings are informational.
 
 Two modes: quick (``SST_BENCH_QUICK=1``, the CI mode) uses a smaller
-ontology and stream and records to the untracked results directory
-only; full (nightly) also refreshes the committed repo-root
-``BENCH_serve.json``.
+ontology and stream; full (nightly) the larger ones.  Neither writes
+outside the results directory, so a run leaves the tree clean.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import os
 import threading
 import time
 
-from benchmarks.conftest import record, record_root
+from benchmarks.conftest import record
 from repro.core.facade import SOQASimPackToolkit
 from repro.core.resilience import injected_faults
 from repro.core.server import ServerConfig, serve_in_thread
@@ -128,8 +128,7 @@ def test_serve_throughput_and_overload(results_dir):
     capacity = WORKERS + QUEUE_LIMIT
     burst = OVERLOAD_FACTOR * capacity
     overload_config = ServerConfig(port=0, workers=WORKERS,
-                                   queue_limit=QUEUE_LIMIT,
-                                   max_queue_wait=2 * SLOW_SECONDS)
+                                   queue_limit=QUEUE_LIMIT)
     results: list[tuple[int, bytes, float, str | None]] = []
     lock = threading.Lock()
 
@@ -192,9 +191,5 @@ def test_serve_throughput_and_overload(results_dir):
                                  3),
         },
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    record(results_dir, "BENCH_serve.json", text)
-    if not QUICK:
-        # Only the full-size run may refresh the committed repo-root
-        # artifact; a quick run leaves the tree clean.
-        record_root("BENCH_serve.json", text)
+    record(results_dir, "BENCH_serve.json",
+           json.dumps(payload, indent=2) + "\n")

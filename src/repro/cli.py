@@ -309,62 +309,54 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--serve-workers", type=int, default=None, metavar="N",
         dest="serve_workers",
-        help="request worker threads (default: SST_SERVE_WORKERS, "
-             "else 8)")
+        help="request worker threads (default: 8)")
     serve.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="per-request deadline, answered with 504 when exceeded; "
-             "0 disables (default: SST_SERVE_DEADLINE, else 30)")
+             "also the admission wait bound (429 when the estimated "
+             "queue wait is longer); 0 disables both (default: 30)")
     serve.add_argument(
         "--max-body", type=int, default=None, metavar="BYTES",
         dest="max_body",
         help="request body cap, answered with 413 beyond it "
-             "(default: SST_SERVE_MAX_BODY, else 1 MiB)")
+             "(default: 1 MiB)")
     serve.add_argument(
         "--breaker-threshold", type=int, default=None, metavar="N",
         dest="breaker_threshold",
         help="consecutive failures that open the admission breaker "
-             "(default: SST_SERVE_BREAKER_THRESHOLD, else 5)")
+             "(default: 5)")
     serve.add_argument(
         "--breaker-reset", type=float, default=None, metavar="SECONDS",
         dest="breaker_reset",
         help="open-circuit hold before the half-open probe; also the "
-             "Retry-After hint (default: SST_SERVE_BREAKER_RESET, "
-             "else 30)")
+             "Retry-After hint (default: 30)")
     serve.add_argument(
         "--drain-timeout", type=float, default=None, metavar="SECONDS",
         dest="drain_timeout",
         help="on SIGTERM/SIGINT, how long in-flight requests may "
-             "finish before the process exits (default: "
-             "SST_SERVE_DRAIN, else 10)")
+             "finish before the process exits (default: 10)")
     serve.add_argument(
         "--idle-timeout", type=float, default=None, metavar="SECONDS",
         dest="idle_timeout",
-        help="close a kept-alive connection after this long without a "
-             "new request; 0 disables (default: SST_SERVE_IDLE, "
-             "else 30)")
+        help="read deadline for a request line, its header block and "
+             "its body; a stalled request gets 408, an idle kept-alive "
+             "connection is closed; 0 disables (default: 10)")
     serve.add_argument(
         "--max-requests-per-conn", type=int, default=None, metavar="N",
         dest="max_requests_per_conn",
         help="requests served per connection before it is closed; 1 "
-             "turns keep-alive off (default: SST_SERVE_MAX_REQUESTS, "
-             "else 100)")
+             "turns keep-alive off (default: 100)")
     serve.add_argument(
         "--max-connections", type=int, default=None, metavar="N",
         dest="max_connections",
         help="concurrent connection cap, answered with 503 beyond it "
-             "(default: SST_SERVE_MAX_CONNECTIONS, else 128)")
+             "(default: 128)")
     serve.add_argument(
         "--queue-limit", type=int, default=None, metavar="N",
         dest="queue_limit",
         help="admitted requests that may wait behind the worker pool "
-             "before new work is shed with 429; 0 means four per "
-             "worker (default: SST_SERVE_QUEUE)")
-    serve.add_argument(
-        "--max-wait", type=float, default=None, metavar="SECONDS",
-        dest="max_wait",
-        help="shed with 429 when the estimated queue wait exceeds "
-             "this; 0 disables (default: SST_SERVE_MAX_WAIT, else 10)")
+             "before new work is shed with 429 (default: four per "
+             "worker)")
 
     trace = subparsers.add_parser(
         "trace",
@@ -430,9 +422,19 @@ def _run(arguments: argparse.Namespace) -> int:
         return _run_cache(arguments)
     if command == "import":
         return _run_import(arguments)
+    # A bad serve flag fails before the corpus loads or a socket binds.
+    serve_config = _serve_config(arguments) if command == "serve" else None
     with _scoped_environ(_flag_environ(arguments)):
         sst = _load_toolkit(arguments)
         try:
+            if serve_config is not None:
+                from repro.core.server import serve
+
+                # Blocks until drained; the corpus loaded above is
+                # shared by every request.
+                serve(sst, serve_config,
+                      log=lambda line: print(line, file=sys.stderr))
+                return 0
             return _dispatch(sst, arguments)
         finally:
             # Persist any scores still buffered for the L2 tier, so the
@@ -538,8 +540,6 @@ def _dispatch(sst: SOQASimPackToolkit,
             print("\nwrote: " + ", ".join(str(path) for path in paths))
     elif command == "matrix":
         return _run_matrix(sst, arguments)
-    elif command == "serve":
-        return _run_serve(sst, arguments)
     elif command == "table1":
         print(_table1_text(sst))
     elif command == "measures":
@@ -699,30 +699,24 @@ def _run_matrix(sst: SOQASimPackToolkit,
     return 0
 
 
-def _run_serve(sst: SOQASimPackToolkit,
-               arguments: argparse.Namespace) -> int:
-    """The ``sst serve`` subcommand: the resident similarity service.
+def _serve_config(arguments: argparse.Namespace):
+    """The range-checked ``sst serve`` settings; flags left out keep
+    the :class:`~repro.core.server.ServerConfig` defaults."""
+    from repro.core.server import ServerConfig
 
-    Blocks until interrupted; the corpus is loaded (and the unified
-    tree built) exactly once, then shared across every request.
-    """
-    from repro.core.server import ServerConfig, serve
-
-    config = ServerConfig(
-        host=arguments.host, port=arguments.port,
-        workers=arguments.serve_workers,
-        deadline_seconds=arguments.deadline,
-        max_body_bytes=arguments.max_body,
-        breaker_threshold=arguments.breaker_threshold,
-        breaker_reset=arguments.breaker_reset,
-        drain_seconds=arguments.drain_timeout,
-        idle_timeout=arguments.idle_timeout,
-        max_requests_per_connection=arguments.max_requests_per_conn,
-        max_connections=arguments.max_connections,
-        queue_limit=arguments.queue_limit,
-        max_queue_wait=arguments.max_wait)
-    serve(sst, config, log=lambda line: print(line, file=sys.stderr))
-    return 0
+    flags = {"workers": arguments.serve_workers,
+             "deadline_seconds": arguments.deadline,
+             "max_body_bytes": arguments.max_body,
+             "breaker_threshold": arguments.breaker_threshold,
+             "breaker_reset": arguments.breaker_reset,
+             "drain_seconds": arguments.drain_timeout,
+             "idle_timeout": arguments.idle_timeout,
+             "max_requests_per_connection": arguments.max_requests_per_conn,
+             "max_connections": arguments.max_connections,
+             "queue_limit": arguments.queue_limit}
+    return ServerConfig(host=arguments.host, port=arguments.port,
+                        **{name: value for name, value in flags.items()
+                           if value is not None})
 
 
 def _render_metrics(output_format: str) -> str:

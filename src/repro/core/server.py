@@ -13,10 +13,11 @@ HTTP/JSON server on :func:`asyncio.start_server` that
   kernel/parallel engine (one ``score_pairs`` call per request, not a
   Python loop per pair),
 * speaks **persistent HTTP/1.1**: connections default to
-  ``keep-alive`` with per-connection defenses — an idle/header read
-  deadline (a slow-loris trickling bytes gets a typed 408; a quietly
-  idle connection is closed cleanly), a cap on concurrent connections
-  and on requests served per connection,
+  ``keep-alive`` with per-connection defenses — one read deadline
+  (``--idle-timeout``) on the request line, the header block and the
+  body (a slow-loris trickling bytes gets a typed 408; a quietly idle
+  connection is closed cleanly), a cap on concurrent connections and
+  on requests served per connection,
 * runs a five-state **lifecycle**
   (:class:`~repro.core.lifecycle.ServiceLifecycle`): ``/readyz``
   advertises readiness (200 only in READY), ``/healthz`` stays
@@ -26,8 +27,9 @@ HTTP/JSON server on :func:`asyncio.start_server` that
 * applies layered admission control *before* work is queued:
   the failure-driven :class:`~repro.core.resilience.CircuitBreaker`
   (open → 503) plus the saturation-driven
-  :class:`~repro.core.resilience.AdmissionController` (queue full or
-  drain too slow → typed 429 with ``Retry-After``; sustained shedding
+  :class:`~repro.core.resilience.AdmissionController` (queue full, or
+  an estimated queue wait beyond the request deadline → typed 429
+  with ``Retry-After``; sustained shedding
   flips the lifecycle DEGRADED so ``/readyz`` turns traffic away
   while in-flight work completes),
 * bounds every computation with a per-request
@@ -35,6 +37,9 @@ HTTP/JSON server on :func:`asyncio.start_server` that
 * exposes the telemetry registry as prometheus text on ``/metrics``
   and traces every request as a ``server.request`` span with a
   propagated request id (``X-Request-Id`` in, echoed out).
+
+Every setting comes from one ``sst serve`` flag (:class:`ServerConfig`
+holds the defaults and range checks); there are no environment twins.
 
 Endpoints::
 
@@ -106,36 +111,14 @@ from repro.errors import (DeadlineExceededError, OverloadedError,
                           UnknownMeasureError, UnknownOntologyError)
 
 __all__ = [
-    "DEADLINE_ENV",
-    "DRAIN_ENV",
-    "IDLE_ENV",
-    "MAX_BODY_ENV",
-    "MAX_CONNECTIONS_ENV",
-    "MAX_REQUESTS_ENV",
-    "QUEUE_LIMIT_ENV",
     "RequestError",
     "ServerConfig",
     "ServerHandle",
     "SimilarityServer",
     "SimilarityService",
-    "WORKERS_ENV",
     "serve",
     "serve_in_thread",
 ]
-
-#: Environment fallbacks for the ``sst serve`` flags of the same name.
-DEADLINE_ENV = "SST_SERVE_DEADLINE"
-MAX_BODY_ENV = "SST_SERVE_MAX_BODY"
-WORKERS_ENV = "SST_SERVE_WORKERS"
-BREAKER_THRESHOLD_ENV = "SST_SERVE_BREAKER_THRESHOLD"
-BREAKER_RESET_ENV = "SST_SERVE_BREAKER_RESET"
-DRAIN_ENV = "SST_SERVE_DRAIN"
-IDLE_ENV = "SST_SERVE_IDLE"
-HEADER_TIMEOUT_ENV = "SST_SERVE_HEADER_TIMEOUT"
-MAX_REQUESTS_ENV = "SST_SERVE_MAX_REQUESTS"
-MAX_CONNECTIONS_ENV = "SST_SERVE_MAX_CONNECTIONS"
-QUEUE_LIMIT_ENV = "SST_SERVE_QUEUE"
-MAX_WAIT_ENV = "SST_SERVE_MAX_WAIT"
 
 #: Hard parse limits: a request line or header block beyond these is
 #: rejected up front, before any body bytes are read.
@@ -154,106 +137,76 @@ _REASONS = {
 }
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
-
-
 class ServerConfig:
-    """Resolved ``sst serve`` settings (flag beats env beats default).
+    """``sst serve`` settings: one flag, one default, one range check each.
 
-    ``deadline_seconds <= 0`` disables the per-request deadline;
     ``port=0`` binds an ephemeral port (tests read it back from the
-    handle).  ``idle_timeout`` / ``header_timeout <= 0`` disable the
-    respective read deadline; ``queue_limit <= 0`` means the admission
-    default (four requests queued per worker); ``max_queue_wait <= 0``
-    disables estimated-wait shedding.  ``install_signals`` is only set
-    by the blocking :func:`serve` entry point — embedded servers drain
-    via :meth:`SimilarityServer.request_drain` instead.
+    handle).  ``deadline_seconds`` bounds each computation (504) and
+    is also the admission wait bound: a request whose estimated queue
+    wait exceeds it is shed with 429 up front instead of timing out
+    after holding a queue slot.  ``idle_timeout`` is the one read
+    deadline — for the request line (fresh or kept-alive connection),
+    the whole header block, and the body.  A ``0`` deadline or idle
+    timeout disables it; ``queue_limit=None`` means four requests
+    queued per worker.  An out-of-range value raises
+    :class:`~repro.errors.SSTCoreError`.  ``install_signals`` is only
+    set by the blocking :func:`serve` entry point — embedded servers
+    drain via :meth:`SimilarityServer.request_drain` instead.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8642,
-                 workers: int | None = None,
-                 deadline_seconds: float | None = None,
-                 max_body_bytes: int | None = None,
-                 breaker_threshold: int | None = None,
-                 breaker_reset: float | None = None,
-                 io_timeout: float = 30.0,
-                 drain_seconds: float | None = None,
-                 idle_timeout: float | None = None,
-                 header_timeout: float | None = None,
-                 max_requests_per_connection: int | None = None,
-                 max_connections: int | None = None,
+                 workers: int = 8,
+                 deadline_seconds: float = 30.0,
+                 max_body_bytes: int = 1 << 20,
+                 breaker_threshold: int = 5,
+                 breaker_reset: float = 30.0,
+                 drain_seconds: float = 10.0,
+                 idle_timeout: float = 10.0,
+                 max_requests_per_connection: int = 100,
+                 max_connections: int = 128,
                  queue_limit: int | None = None,
-                 max_queue_wait: float | None = None,
                  install_signals: bool = False):
         self.host = host
         self.port = port
-        self.workers = (workers if workers is not None
-                        else max(1, _env_int(WORKERS_ENV, 8)))
-        self.deadline_seconds = (
-            deadline_seconds if deadline_seconds is not None
-            else _env_float(DEADLINE_ENV, 30.0))
-        self.max_body_bytes = (
-            max_body_bytes if max_body_bytes is not None
-            else max(1024, _env_int(MAX_BODY_ENV, 1 << 20)))
-        self.breaker_threshold = (
-            breaker_threshold if breaker_threshold is not None
-            else max(1, _env_int(BREAKER_THRESHOLD_ENV, 5)))
-        self.breaker_reset = (
-            breaker_reset if breaker_reset is not None
-            else _env_float(BREAKER_RESET_ENV, 30.0))
-        self.io_timeout = io_timeout
-        self.drain_seconds = (
-            drain_seconds if drain_seconds is not None
-            else max(0.0, _env_float(DRAIN_ENV, 10.0)))
-        self.idle_timeout = (idle_timeout if idle_timeout is not None
-                             else _env_float(IDLE_ENV, 30.0))
-        self.header_timeout = (
-            header_timeout if header_timeout is not None
-            else _env_float(HEADER_TIMEOUT_ENV, 10.0))
-        self.max_requests_per_connection = (
-            max_requests_per_connection
-            if max_requests_per_connection is not None
-            else max(1, _env_int(MAX_REQUESTS_ENV, 100)))
-        self.max_connections = (
-            max_connections if max_connections is not None
-            else max(1, _env_int(MAX_CONNECTIONS_ENV, 128)))
-        self.queue_limit = (queue_limit if queue_limit is not None
-                            else _env_int(QUEUE_LIMIT_ENV, 0))
-        self.max_queue_wait = (
-            max_queue_wait if max_queue_wait is not None
-            else _env_float(MAX_WAIT_ENV, 10.0))
+        self.workers = workers
+        self.deadline_seconds = deadline_seconds
+        self.max_body_bytes = max_body_bytes
+        self.breaker_threshold = breaker_threshold
+        self.breaker_reset = breaker_reset
+        self.drain_seconds = drain_seconds
+        self.idle_timeout = idle_timeout
+        self.max_requests_per_connection = max_requests_per_connection
+        self.max_connections = max_connections
+        self.queue_limit = queue_limit
         self.install_signals = install_signals
+        if not 0 <= port <= 65535:
+            raise SSTCoreError(f"serve setting port must be 0-65535, "
+                               f"got {port}")
+        for name in ("workers", "max_connections",
+                     "max_requests_per_connection", "breaker_threshold",
+                     "max_body_bytes", "queue_limit"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise SSTCoreError(
+                    f"serve setting {name} must be at least 1, got {value}")
+        for name in ("deadline_seconds", "idle_timeout", "drain_seconds",
+                     "breaker_reset"):
+            value = getattr(self, name)
+            if value < 0:
+                raise SSTCoreError(
+                    f"serve setting {name} must not be negative, got {value}")
 
     def deadline(self) -> Deadline:
         """A fresh per-request deadline under this configuration."""
-        if self.deadline_seconds and self.deadline_seconds > 0:
+        if self.deadline_seconds > 0:
             return Deadline(self.deadline_seconds)
         return Deadline.never()
 
     def admission(self) -> AdmissionController:
         """A fresh admission controller under this configuration."""
         return AdmissionController(
-            self.workers,
-            queue_limit=self.queue_limit if self.queue_limit > 0 else None,
-            max_wait=(self.max_queue_wait if self.max_queue_wait > 0
-                      else None))
+            self.workers, queue_limit=self.queue_limit,
+            max_wait=self.deadline_seconds or None)
 
 
 class RequestError(SSTCoreError):
@@ -527,13 +480,13 @@ class SimilarityServer:
 
     Connections are persistent (``Connection: keep-alive``) up to
     ``max_requests_per_connection``, bounded in number by
-    ``max_connections``, and defended against slow clients by idle /
-    header / body read deadlines.  Every request is parsed under hard
-    limits, admitted through the breaker *and* the saturation
-    controller, computed on a bounded worker pool under a per-request
-    deadline, and answered with typed JSON.  A failing request can
-    only fail itself: the handler catches everything and the accept
-    loop never sees an exception.
+    ``max_connections``, and defended against slow clients by one read
+    deadline on the request line, the header block and the body.  Every
+    request is parsed under hard limits, admitted through the breaker
+    *and* the saturation controller, computed on a bounded worker pool
+    under a per-request deadline, and answered with typed JSON.  A
+    failing request can only fail itself: the handler catches
+    everything and the accept loop never sees an exception.
 
     Shutdown is graceful: :meth:`request_drain` (wired to
     SIGTERM/SIGINT by the blocking entry point) flips the lifecycle to
@@ -660,7 +613,7 @@ class SimilarityServer:
 
     async def _drain_and_stop(self) -> None:
         started = time.monotonic()
-        deadline = started + max(0.0, self.config.drain_seconds)
+        deadline = started + self.config.drain_seconds
         initial = self._active_requests
         server = self._asyncio_server
         if server is not None:
@@ -808,16 +761,14 @@ class SimilarityServer:
                                  first: bool) -> bytes | None:
         """The next request line, or None when the connection is done.
 
-        A fresh connection gets ``header_timeout`` to produce its
-        first line; a kept-alive one may sit idle for
-        ``idle_timeout``.  Timing out with bytes already on the wire
-        is a slow client (408); timing out clean is just idleness.
+        A fresh or kept-alive connection gets ``idle_timeout`` to
+        produce its line.  Timing out on a fresh connection, or with
+        bytes already on the wire, is a slow client (408); a kept-alive
+        connection timing out clean is just idleness.
         """
-        timeout = (self.config.header_timeout if first
-                   else self.config.idle_timeout)
         try:
-            line = await asyncio.wait_for(
-                reader.readline(), timeout if timeout > 0 else None)
+            line = await asyncio.wait_for(reader.readline(),
+                                          self.config.idle_timeout or None)
         except asyncio.TimeoutError:
             if first or self._partial_request(reader):
                 raise RequestError(
@@ -902,8 +853,8 @@ class SimilarityServer:
         method, target, version = parts
         # The whole header block shares one read deadline: trickling
         # one header byte per second can't hold a connection open.
-        header_deadline = (Deadline(self.config.header_timeout)
-                           if self.config.header_timeout > 0
+        header_deadline = (Deadline(self.config.idle_timeout)
+                           if self.config.idle_timeout > 0
                            else Deadline.never())
         headers: dict[str, str] = {}
         header_bytes = 0
@@ -1043,7 +994,7 @@ class SimilarityServer:
                 close_connection=True)
         try:
             body = await asyncio.wait_for(reader.readexactly(length),
-                                          self.config.io_timeout)
+                                          self.config.idle_timeout or None)
         except asyncio.IncompleteReadError:
             raise RequestError(400, "truncated_body",
                                "request body ended early",

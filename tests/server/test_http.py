@@ -42,7 +42,7 @@ def server():
     soqa.load_text(MINI_WORDNET, "wn", "WordNet")
     toolkit = SOQASimPackToolkit(soqa)
     config = ServerConfig(port=0, max_body_bytes=MAX_BODY,
-                          io_timeout=5.0)
+                          idle_timeout=5.0)
     with serve_in_thread(toolkit, config) as handle:
         yield handle
 

@@ -188,7 +188,7 @@ class TestSpanRetention:
 
 class TestSlowClientDefense:
     def test_slowloris_request_line_gets_typed_408(self):
-        config = ServerConfig(port=0, header_timeout=0.3)
+        config = ServerConfig(port=0, idle_timeout=0.3)
         with serve_in_thread(toolkit(), config) as handle:
             with socket.create_connection((handle.host, handle.port),
                                           timeout=10.0) as sock:
@@ -200,7 +200,7 @@ class TestSlowClientDefense:
                 assert sock.recv(65536) == b""
 
     def test_slow_header_trickle_gets_typed_408(self):
-        config = ServerConfig(port=0, header_timeout=0.3)
+        config = ServerConfig(port=0, idle_timeout=0.3)
         with serve_in_thread(toolkit(), config) as handle:
             with socket.create_connection((handle.host, handle.port),
                                           timeout=10.0) as sock:
@@ -223,8 +223,26 @@ class TestSlowClientDefense:
                 # connection without writing anything.
                 assert sock.recv(65536) == b""
 
+    def test_stalled_body_gets_typed_408_within_the_read_deadline(self):
+        config = ServerConfig(port=0, idle_timeout=0.3)
+        with serve_in_thread(toolkit(), config) as handle:
+            with socket.create_connection((handle.host, handle.port),
+                                          timeout=10.0) as sock:
+                started = time.monotonic()
+                sock.sendall(b"POST /v1/similarity HTTP/1.1\r\nHost: t\r\n"
+                             b"Content-Length: 10\r\n\r\n"
+                             b'{"f')  # 3 of 10 body bytes, then stall
+                status, headers, body = read_response(sock)
+                elapsed = time.monotonic() - started
+                assert status == 408
+                assert error_code(body) == "timeout"
+                assert "body" in json.loads(body)["error"]["message"]
+                assert headers["connection"] == "close"
+                assert 0.3 <= elapsed < 3.0
+                assert sock.recv(65536) == b""
+
     def test_fast_clients_unaffected_by_a_slowloris_peer(self):
-        config = ServerConfig(port=0, header_timeout=1.0)
+        config = ServerConfig(port=0, idle_timeout=1.0)
         with serve_in_thread(toolkit(), config) as handle:
             client = client_for(handle)
             status, _, baseline = client.post_json("/v1/similarity", PAIR)
@@ -354,7 +372,7 @@ class ServiceClientSafe:
 class TestOverload:
     def test_saturation_sheds_typed_429_and_recovers(self):
         config = ServerConfig(port=0, workers=1, queue_limit=1,
-                              max_queue_wait=0.0, deadline_seconds=10.0)
+                              deadline_seconds=10.0)
         with serve_in_thread(toolkit(), config) as handle:
             client = client_for(handle)
             status, _, baseline = client.post_json("/v1/similarity", PAIR)
@@ -404,7 +422,7 @@ class TestOverload:
 
     def test_readyz_flips_to_degraded_during_shedding(self):
         config = ServerConfig(port=0, workers=1, queue_limit=1,
-                              max_queue_wait=0.0, deadline_seconds=10.0)
+                              deadline_seconds=10.0)
         with serve_in_thread(toolkit(), config) as handle:
             client = client_for(handle)
             holders = []

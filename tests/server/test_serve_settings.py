@@ -1,0 +1,67 @@
+"""Every ``sst serve`` setting is range-checked in one place.
+
+``ServerConfig`` refuses a value that would boot a server unable to
+serve (a connection cap of 0 answers every connection with 503, a
+negative body cap every POST with 413), and ``sst serve`` reports the
+refusal as one ``error:`` line before it loads the corpus or binds a
+socket.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.core.server import ServerConfig
+from repro.errors import SSTCoreError
+from tests.conftest import MINI_OWL
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("workers", 0), ("max_connections", 0),
+    ("max_requests_per_connection", 0), ("breaker_threshold", 0),
+    ("max_body_bytes", -5), ("queue_limit", 0),
+    ("deadline_seconds", -1.0), ("idle_timeout", -0.5),
+    ("drain_seconds", -1.0), ("breaker_reset", -1.0), ("port", 70000),
+])
+def test_out_of_range_setting_is_refused(setting, value):
+    with pytest.raises(SSTCoreError, match=setting):
+        ServerConfig(**{setting: value})
+
+
+def test_zero_deadline_disables_the_deadline_and_the_wait_bound():
+    config = ServerConfig(deadline_seconds=0, idle_timeout=0)
+    assert config.deadline().remaining() is None
+    assert config.admission().max_wait is None
+
+
+def test_admission_takes_its_bounds_from_the_settings():
+    admission = ServerConfig(workers=3, deadline_seconds=2.5).admission()
+    assert admission.max_wait == 2.5
+    assert admission.queue_limit == 12
+
+
+@pytest.mark.parametrize("flag, value", [("--max-connections", "0"),
+                                         ("--max-body", "-5")])
+def test_serve_refuses_an_out_of_range_flag_before_binding(tmp_path, flag,
+                                                           value):
+    owl = tmp_path / "univ.owl"
+    owl.write_text(MINI_OWL, encoding="utf-8")
+    env = {key: item for key, item in os.environ.items()
+           if not key.startswith("SST_")}
+    env["PYTHONPATH"] = SRC
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "--ontology-file", str(owl),
+         "serve", "--host", "127.0.0.1", "--port", "0", flag, value],
+        capture_output=True, text=True, env=env, timeout=30.0)
+    assert result.returncode != 0
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+    assert "listening" not in result.stdout + result.stderr

@@ -1,15 +1,22 @@
-"""The ``SST_*`` environment knobs in the code and in the README agree.
+"""The ``SST_*`` environment knobs and the ``sst serve`` flags in the
+code and in the README agree.
 
 Every ``SST_`` name the package reads must be documented, and every
 documented name must still exist in the package, so a removed knob
 cannot linger in the docs and a new one cannot ship undocumented.
+``sst serve`` is configured by flags alone, so the README's serve
+section is held to the parser the same way.
 """
 
+import argparse
 import re
 from pathlib import Path
 
+from repro.cli import build_parser
+
 ROOT = Path(__file__).resolve().parent.parent
 KNOB = re.compile(r"SST_[A-Z0-9_]+")
+FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 
 def _knobs(text: str) -> set[str]:
@@ -38,4 +45,41 @@ def test_every_documented_knob_exists():
     stale = _readme_knobs() - _source_knobs()
     assert not stale, (
         f"SST_* names in README.md that src/repro no longer reads: "
+        f"{sorted(stale)}")
+
+
+def _flags(parser: argparse.ArgumentParser) -> set[str]:
+    return {option for action in parser._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"}
+
+
+def _subparsers(parser: argparse.ArgumentParser,
+                ) -> dict[str, argparse.ArgumentParser]:
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def _readme_serve_section() -> str:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = text.index("## Running as a service (`sst serve`)")
+    end = text.index("\n## ", start)
+    return text[start:end]
+
+
+def test_every_serve_flag_is_documented():
+    serve_flags = _flags(_subparsers(build_parser())["serve"])
+    undocumented = serve_flags - set(FLAG.findall(_readme_serve_section()))
+    assert not undocumented, (
+        f"sst serve flags missing from README.md's serve section: "
+        f"{sorted(undocumented)}")
+
+
+def test_every_documented_serve_flag_exists():
+    parser = build_parser()
+    known = _flags(parser).union(
+        *(_flags(sub) for sub in _subparsers(parser).values()))
+    stale = set(FLAG.findall(_readme_serve_section())) - known
+    assert not stale, (
+        f"flags in README.md's serve section that sst no longer has: "
         f"{sorted(stale)}")
