@@ -87,7 +87,6 @@ def test_disk_cache_warm_start(tmp_path, results_dir):
     owl_path.write_text(generate_sumo_owl(MATRIX_ONTOLOGY_SIZE),
                         encoding="utf-8")
     env = dict(os.environ)
-    env.pop("SST_NO_CACHE", None)
     env.pop("SST_TELEMETRY", None)  # the gate reads the trace's spans
     env["SST_CACHE_DIR"] = str(tmp_path / "cache")
     env["PYTHONPATH"] = (str(REPO_ROOT / "src") + os.pathsep

@@ -61,7 +61,7 @@ class OntologyMatcher:
 
         Candidate scoring is the matcher's hot loop (|O1| x |O2| pairs);
         it runs through the batch engine, so ``workers`` set on the
-        matcher (or ``SST_WORKERS``) parallelizes it.
+        matcher parallelizes it.
         """
         runner = self.sst.runner(self.measure)
         if not runner.is_normalized():

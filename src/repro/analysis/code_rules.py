@@ -890,8 +890,7 @@ def _environ_write(rule, context: CodeContext):
     caller (a test, an embedding application) inherits it.
 
     Pass the value explicitly, or set it for one scope and restore it
-    in a ``finally`` (``repro.cli._scoped_environ``), with a pragma on
-    the write.
+    in a ``finally``, with a pragma on the write.
     """
     hint = ("pass the value explicitly, or scope the write and restore "
             "it in a finally")

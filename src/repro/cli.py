@@ -29,16 +29,12 @@ By default the five-ontology corpus of the paper is loaded; pass
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from contextlib import contextmanager
-from typing import Iterator
 
 from repro.browser.shell import run_browser
 from repro.core.facade import SOQASimPackToolkit
 from repro.core.registry import Measure, TABLE1_MEASURES
 from repro.errors import SSTError
-from repro.soqa.api import SOQA
 from repro.soqa.soqaql.evaluator import SOQAQLEngine
 from repro.soqa.soqaql.shell import run_shell
 from repro.viz.ascii import render_table
@@ -55,22 +51,20 @@ def _add_parallel_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="worker count for batch scoring: 1 runs serially, more run "
-             "in forked processes (default: SST_WORKERS or 1)")
+             "in forked processes (default: 1)")
     sub.add_argument(
         "--no-cache", action="store_true",
         help="disable both cache tiers for this run (cold-path "
-             "benchmarking; also via SST_NO_CACHE)")
+             "benchmarking)")
     sub.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",
         dest="task_timeout",
-        help="per-chunk timeout for batch scoring (default: "
-             "SST_TASK_TIMEOUT, else none)")
+        help="per-chunk timeout for batch scoring (default: none)")
     sub.add_argument(
         "--retry-budget", type=int, default=None, metavar="N",
         dest="retry_budget",
         help="pool relaunches allowed after worker crashes or timeouts "
-             "before scoring the rest serially (default: "
-             "SST_RETRY_BUDGET, else 2)")
+             "before scoring the rest serially (default: 2)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--l1-max", type=int, default=None, metavar="N", dest="l1_max",
         help="entry cap of the in-memory similarity cache (default: "
-             "SST_L1_MAX, else 100000)")
+             "100000)")
     parser.add_argument(
         "--inject-faults", default=None, metavar="SPEC",
         dest="inject_faults",
@@ -382,25 +376,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_toolkit(arguments: argparse.Namespace) -> SOQASimPackToolkit:
-    from repro.core.diskcache import default_cache_directory
+    """The facade over the requested ontologies.
 
-    # The CLI attaches the persistent tier by default; --no-cache (or
-    # SST_NO_CACHE, handled in the facade) disables both tiers.
-    cache = False if getattr(arguments, "no_cache", False) else None
-    cache_dir = (arguments.cache_dir if arguments.cache_dir is not None
-                 else default_cache_directory())
-    capacity = getattr(arguments, "l1_max", None)
+    The facade is built, and with it every batch flag range-checked,
+    before any ontology loads: a bad value fails at once, whatever
+    measure the command would run.  Flags left out keep the facade
+    defaults.  The CLI attaches the persistent tier by default;
+    ``--no-cache`` disables both tiers.
+    """
+    from repro.core.diskcache import default_cache_directory
+    from repro.core.parallel import check_batch_settings
+
+    check_batch_settings(workers=getattr(arguments, "workers", None))
+    flags = {"cache_capacity": arguments.l1_max,
+             "task_timeout": getattr(arguments, "task_timeout", None),
+             "retry_budget": getattr(arguments, "retry_budget", None)}
+    sst = SOQASimPackToolkit(
+        cache=not getattr(arguments, "no_cache", False),
+        cache_dir=(arguments.cache_dir if arguments.cache_dir is not None
+                   else default_cache_directory()),
+        **{name: value for name, value in flags.items()
+           if value is not None})
     if not arguments.ontology_files:
         from repro.ontologies import load_corpus
 
-        return SOQASimPackToolkit(load_corpus(), cache=cache,
-                                  cache_dir=cache_dir,
-                                  cache_capacity=capacity)
-    soqa = SOQA()
+        load_corpus(sst.soqa)
     for path in arguments.ontology_files:
-        soqa.load_file(path)
-    return SOQASimPackToolkit(soqa, cache=cache, cache_dir=cache_dir,
-                              cache_capacity=capacity)
+        sst.soqa.load_file(path)
+    return sst
 
 
 def _split_subtree(value: str | None) -> tuple[str | None, str | None]:
@@ -424,56 +427,21 @@ def _run(arguments: argparse.Namespace) -> int:
         return _run_import(arguments)
     # A bad serve flag fails before the corpus loads or a socket binds.
     serve_config = _serve_config(arguments) if command == "serve" else None
-    with _scoped_environ(_flag_environ(arguments)):
-        sst = _load_toolkit(arguments)
-        try:
-            if serve_config is not None:
-                from repro.core.server import serve
-
-                # Blocks until drained; the corpus loaded above is
-                # shared by every request.
-                serve(sst, serve_config,
-                      log=lambda line: print(line, file=sys.stderr))
-                return 0
-            return _dispatch(sst, arguments)
-        finally:
-            # Persist any scores still buffered for the L2 tier, so the
-            # next invocation over the same corpus warm-starts.
-            sst.flush_caches()
-
-
-def _flag_environ(arguments: argparse.Namespace) -> dict[str, str]:
-    """The ``SST_*`` variables that the global flags stand for.
-
-    Deep layers (the process supervisor, the batch engine) and forked
-    workers read these from the environment.
-    """
-    from repro.core.parallel import RETRY_BUDGET_ENV, TASK_TIMEOUT_ENV
-
-    flags = {TASK_TIMEOUT_ENV: getattr(arguments, "task_timeout", None),
-             RETRY_BUDGET_ENV: getattr(arguments, "retry_budget", None)}
-    return {name: str(value) for name, value in flags.items()
-            if value is not None}
-
-
-@contextmanager
-def _scoped_environ(values: dict[str, str]) -> Iterator[None]:
-    """Set environment variables for one command, then restore them.
-
-    A variable that was unset before is removed again, so an
-    in-process caller of :func:`main` sees its environment unchanged.
-    """
-    saved = {name: os.environ.get(name) for name in values}
+    sst = _load_toolkit(arguments)
     try:
-        for name, value in values.items():
-            os.environ[name] = value  # sst: disable=environ-write
-        yield
+        if serve_config is not None:
+            from repro.core.server import serve
+
+            # Blocks until drained; the corpus loaded above is shared
+            # by every request, which is scored in-process.
+            serve(sst, serve_config,
+                  log=lambda line: print(line, file=sys.stderr))
+            return 0
+        return _dispatch(sst, arguments)
     finally:
-        for name, previous in saved.items():
-            if previous is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = previous  # sst: disable=environ-write
+        # Persist any scores still buffered for the L2 tier, so the
+        # next invocation over the same corpus warm-starts.
+        sst.flush_caches()
 
 
 def _report_cache(sst: SOQASimPackToolkit) -> None:

@@ -153,9 +153,9 @@ def render_dendrogram(root: ClusterNode, labels: Sequence[str]) -> str:
 class ConceptClusterer:
     """Clustering of qualified concepts via an SST facade.
 
-    ``workers`` is forwarded to the facade's similarity
-    matrix service, so the quadratic distance-matrix step — the
-    clusterer's hot path — runs through the parallel batch engine.
+    ``workers`` is forwarded to the facade's similarity matrix service,
+    so the quadratic distance-matrix step — the clusterer's hot path —
+    runs through the parallel batch engine; ``None`` runs it serially.
     """
 
     def __init__(self, sst, measure, linkage: str = "average",

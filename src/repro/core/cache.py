@@ -25,7 +25,6 @@ kernel score costs less than a lookup in either tier.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING
@@ -38,34 +37,12 @@ from repro.errors import SSTCoreError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.diskcache import DiskCache
 
-__all__ = ["CachedRunner", "L1_MAX_ENV", "default_l1_capacity"]
+__all__ = ["CachedRunner", "DEFAULT_L1_CAPACITY"]
 
-#: Environment variable capping the in-memory L1 tier (``--l1-max``).
-L1_MAX_ENV = "SST_L1_MAX"
-
-#: Default L1 entry cap when neither the environment nor the caller
-#: chooses one.
+#: Default L1 entry cap (``--l1-max``).  It bounds memory for matrix
+#: runs over large ontologies; the memo table is LRU, so a cap only
+#: costs recomputation, never correctness.
 DEFAULT_L1_CAPACITY = 100_000
-
-
-def default_l1_capacity() -> int:
-    """The L1 entry cap: ``SST_L1_MAX`` or 100 000.
-
-    Bounds memory for matrix runs over large ontologies — the memo
-    table is LRU, so a cap only costs recomputation, never correctness.
-    """
-    raw = os.environ.get(L1_MAX_ENV, "").strip()
-    if not raw:
-        return DEFAULT_L1_CAPACITY
-    try:
-        capacity = int(raw)
-    except ValueError:
-        raise SSTCoreError(
-            f"invalid {L1_MAX_ENV} value {raw!r}; expected an integer")
-    if capacity < 1:
-        raise SSTCoreError(
-            f"{L1_MAX_ENV} must be positive, got {capacity}")
-    return capacity
 
 
 class CachedRunner(MeasureRunner):
@@ -88,13 +65,13 @@ class CachedRunner(MeasureRunner):
     scopes the on-disk entries to one corpus state.
     """
 
-    def __init__(self, inner: MeasureRunner, capacity: int | None = None,
+    def __init__(self, inner: MeasureRunner,
+                 capacity: int = DEFAULT_L1_CAPACITY,
                  symmetric: bool = True, l2: "DiskCache | None" = None,
                  fingerprint: str = ""):
-        if capacity is None:
-            capacity = default_l1_capacity()
         if capacity < 1:
-            raise SSTCoreError("cache capacity must be positive")
+            raise SSTCoreError(
+                f"cache capacity must be positive, got {capacity}")
         super().__init__(inner.wrapper)
         self.inner = inner
         self.name = inner.name

@@ -71,9 +71,6 @@ __all__ = ["CACHE_DIR_ENV", "DiskCache", "corpus_fingerprint",
 #: Environment variable overriding the cache directory.
 CACHE_DIR_ENV = "SST_CACHE_DIR"
 
-#: Environment variable disabling both cache tiers in the CLI.
-NO_CACHE_ENV = "SST_NO_CACHE"
-
 #: Bump to invalidate every existing cache file on format changes;
 #: files of an older version are rebuilt on first open.
 _SCHEMA_VERSION = 2
@@ -92,11 +89,6 @@ def default_cache_directory() -> Path:
     xdg = os.environ.get("XDG_CACHE_HOME", "").strip()
     base = Path(xdg).expanduser() if xdg else Path.home() / ".cache"
     return base / "sst"
-
-
-def caching_disabled() -> bool:
-    """Whether ``SST_NO_CACHE`` asks for cold, uncached runs."""
-    return os.environ.get(NO_CACHE_ENV, "").strip() not in ("", "0")
 
 
 def corpus_fingerprint(soqa: "SOQA", strategy: str) -> str:

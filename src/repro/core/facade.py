@@ -26,11 +26,11 @@ from operator import not_
 from typing import AbstractSet, Iterable, Sequence
 
 from repro.core import telemetry
-from repro.core.cache import CachedRunner
-from repro.core.diskcache import (DiskCache, caching_disabled,
-                                  corpus_fingerprint)
+from repro.core.cache import DEFAULT_L1_CAPACITY, CachedRunner
+from repro.core.diskcache import DiskCache, corpus_fingerprint
 from repro.core.kernel import batchable
-from repro.core.parallel import BatchSimilarityEngine
+from repro.core.parallel import (DEFAULT_RETRY_BUDGET, BatchSimilarityEngine,
+                                 check_batch_settings)
 from repro.core.registry import Measure, RunnerRegistry, TABLE1_MEASURES
 from repro.core.results import ConceptAndSimilarity, QualifiedConcept
 from repro.core.runners import MeasureRunner
@@ -184,23 +184,32 @@ class SOQASimPackToolkit:
     def __init__(self, soqa: SOQA | None = None,
                  strategy: str = SUPER_THING,
                  registry: RunnerRegistry | None = None,
-                 cache: bool | None = None,
+                 cache: bool = True,
                  cache_dir=None,
-                 cache_capacity: int | None = None):
-        """``cache=None`` enables the in-memory tier unless the
-        ``SST_NO_CACHE`` environment variable is set; ``cache=False``
-        returns raw, uncached runners.  The persistent tier is attached
-        when ``cache_dir`` is given or ``SST_CACHE_DIR`` is set (the
-        CLI passes its default directory explicitly).
-        ``cache_capacity=None`` defers the L1 entry cap to ``SST_L1_MAX``
-        (falling back to the built-in default)."""
+                 cache_capacity: int = DEFAULT_L1_CAPACITY,
+                 task_timeout: float | None = None,
+                 retry_budget: int = DEFAULT_RETRY_BUDGET):
+        """``cache=False`` returns raw, uncached runners.  The
+        persistent tier is attached when ``cache_dir`` is given or
+        ``SST_CACHE_DIR`` is set (the CLI passes its default directory
+        explicitly).  ``cache_capacity`` caps the in-memory tier's
+        entries; ``task_timeout`` and ``retry_budget`` go to every batch
+        engine (see :class:`~repro.core.parallel.BatchSimilarityEngine`).
+        All three are range-checked here, whatever measure runs later.
+        """
+        check_batch_settings(task_timeout=task_timeout,
+                             retry_budget=retry_budget)
+        if cache_capacity < 1:
+            raise SSTCoreError(
+                f"cache capacity must be positive, got {cache_capacity}")
         self.soqa = soqa if soqa is not None else SOQA()
         self.strategy = strategy
         self.registry = (registry if registry is not None
                          else RunnerRegistry.with_builtin_runners())
         self.cache_capacity = cache_capacity
-        self._cache_enabled = (not caching_disabled() if cache is None
-                               else bool(cache))
+        self.task_timeout = task_timeout
+        self.retry_budget = retry_budget
+        self._cache_enabled = cache
         self._cache_dir = cache_dir
         self._disk_cache: DiskCache | None = None
         self._fingerprint: str | None = None
@@ -539,14 +548,17 @@ class SOQASimPackToolkit:
                engine: str | None = None) -> BatchSimilarityEngine:
         """A batch execution engine over the measure's runner.
 
-        ``workers`` defaults to the ``SST_WORKERS`` environment variable
-        (or 1); one worker runs serially, more run in forked processes
-        (see :mod:`repro.core.parallel`).  Batchable graph measures are
+        The only place the facade builds one.  ``workers=None`` or 1
+        runs serially, more run in forked processes under the facade's
+        ``task_timeout`` and ``retry_budget`` (see
+        :mod:`repro.core.parallel`).  Batchable graph measures are
         scored in whole chunks by the kernel; ``engine="naive"`` is the
         per-pair reference path parity tests and benchmarks compare it
         against (see :mod:`repro.core.kernel`).
         """
         return BatchSimilarityEngine(self.runner(measure), workers=workers,
+                                     task_timeout=self.task_timeout,
+                                     retry_budget=self.retry_budget,
                                      engine=engine)
 
     def get_similarity_to_set(self, concept_name: str, ontology_name: str,
@@ -646,8 +658,7 @@ class SOQASimPackToolkit:
         A measure the batch kernel scores is ranked from a best-first
         walk out from the concept, which stops once the top ``k`` is
         proven (``workers`` is ignored); any other is scored per
-        candidate, in parallel when ``workers`` (or ``SST_WORKERS``)
-        exceeds 1.
+        candidate, in parallel when ``workers`` exceeds 1.
         """
         telemetry.count("facade.get_most_similar_concepts.calls")
         return self._k_most(True, concept_name, concept_ontology_name,
@@ -736,9 +747,9 @@ class SOQASimPackToolkit:
 
         All bundled measures are symmetric, so by default only the upper
         triangle is computed and mirrored; pass ``symmetric=False`` for
-        a custom asymmetric runner.  With ``workers`` > 1 (or
-        ``SST_WORKERS`` set) the pair batch is partitioned across a
-        process pool; it produces the identical matrix.
+        a custom asymmetric runner.  With ``workers`` > 1 the pair batch
+        is partitioned across a process pool; it produces the identical
+        matrix.
         """
         telemetry.count("facade.get_similarity_matrix.calls")
         qualified = [_qualify(concept) for concept in concepts]
@@ -837,9 +848,8 @@ class SOQASimPackToolkit:
         chart = GroupedBarChart(title="Measure comparison",
                                 group_labels=group_labels)
         for measure in measures:
-            runner = self.runner(measure)
-            if not runner.is_normalized():
-                runner = self.runner(Measure.RESNIK_NORMALIZED)
-            chart.series[runner.name] = BatchSimilarityEngine(
-                runner).score_pairs(qualified_pairs)
+            if not self.runner(measure).is_normalized():
+                measure = Measure.RESNIK_NORMALIZED
+            chart.series[self.runner(measure).name] = self.engine(
+                measure).score_pairs(qualified_pairs)
         return chart

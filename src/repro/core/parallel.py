@@ -23,19 +23,19 @@ bit-identical — parallelism never changes a single cell.
 
 The process strategy is *supervised*: worker crashes
 (:class:`~concurrent.futures.process.BrokenProcessPool`) and per-chunk
-timeouts (``SST_TASK_TIMEOUT`` / ``--task-timeout``) do not kill the
+timeouts (``task_timeout=`` / ``--task-timeout``) do not kill the
 batch.  Finished chunks are harvested, the pool is relaunched over the
-unfinished work within a bounded retry budget (``SST_RETRY_BUDGET``,
-default 2 relaunches), and when the budget runs out the remaining
-chunks are scored serially in the parent.  Every recovery path scores
-the identical pairs in the identical order, so the result stays
-bit-identical to a fault-free run; what happened is surfaced through
-``resilience.*`` telemetry counters and a ``resilience.recover`` span
-instead of an exception.  Genuine measure errors (anything a chunk
+unfinished work within a bounded retry budget (``retry_budget=`` /
+``--retry-budget``, default 2 relaunches), and when the budget runs
+out the remaining chunks are scored serially in the parent.  Every
+recovery path scores the identical pairs in the identical order, so
+the result stays bit-identical to a fault-free run; what happened is
+surfaced through ``resilience.*`` telemetry counters and a
+``resilience.recover`` span instead of an exception.  Genuine measure errors (anything a chunk
 *raises*) are not retried — they reproduce identically and propagate.
 
-Worker counts come from the ``workers=`` parameter, the ``SST_WORKERS``
-environment variable, or default to 1 (serial).
+Worker counts come from the ``workers=`` parameter (``--workers``) and
+default to 1 (serial).
 """
 
 from __future__ import annotations
@@ -59,34 +59,12 @@ from repro.core.results import QualifiedConcept
 from repro.core.runners import MeasureRunner
 from repro.errors import SSTCoreError
 
-__all__ = [
-    "PROCESS",
-    "RETRY_BUDGET_ENV",
-    "SERIAL",
-    "TASK_TIMEOUT_ENV",
-    "WORKERS_ENV",
-    "BatchSimilarityEngine",
-    "effective_retry_budget",
-    "effective_task_timeout",
-    "effective_workers",
-    "score_against",
-    "score_pairs",
-    "similarity_matrix",
-]
+__all__ = ["PROCESS", "SERIAL", "BatchSimilarityEngine",
+           "check_batch_settings"]
 
 #: How a batch runs, as the ``parallel.score_pairs`` span labels it.
 SERIAL = "serial"
 PROCESS = "process"
-
-#: Environment variable supplying the default worker count.
-WORKERS_ENV = "SST_WORKERS"
-
-#: Environment variable supplying the default per-chunk timeout
-#: (seconds; unset/empty = no timeout).
-TASK_TIMEOUT_ENV = "SST_TASK_TIMEOUT"
-
-#: Environment variable supplying the default pool-relaunch budget.
-RETRY_BUDGET_ENV = "SST_RETRY_BUDGET"
 
 #: Pool relaunches allowed after crashes/timeouts before degrading.
 DEFAULT_RETRY_BUDGET = 2
@@ -121,54 +99,22 @@ def _score_chunk_pairs(runner: MeasureRunner, pairs: Sequence,
             for first, second in pairs]
 
 
-def effective_workers(workers: int | None = None) -> int:
-    """The worker count to use: explicit, ``SST_WORKERS``, or 1."""
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "").strip()
-        if not raw:
-            return 1
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise SSTCoreError(
-                f"invalid {WORKERS_ENV} value {raw!r}; expected an integer")
-    if workers < 1:
+def check_batch_settings(workers: int | None = None,
+                         task_timeout: float | None = None,
+                         retry_budget: int = DEFAULT_RETRY_BUDGET) -> None:
+    """Raise :class:`SSTCoreError` for a batch setting out of range.
+
+    ``None`` is in range for both ``workers`` (serial) and
+    ``task_timeout`` (no timeout).
+    """
+    if workers is not None and workers < 1:
         raise SSTCoreError(f"worker count must be positive, got {workers}")
-    return workers
-
-
-def effective_task_timeout(timeout: float | None = None) -> float | None:
-    """Per-chunk timeout: explicit, ``SST_TASK_TIMEOUT``, or none."""
-    if timeout is None:
-        raw = os.environ.get(TASK_TIMEOUT_ENV, "").strip()
-        if not raw:
-            return None
-        try:
-            timeout = float(raw)
-        except ValueError:
-            raise SSTCoreError(
-                f"invalid {TASK_TIMEOUT_ENV} value {raw!r}; expected "
-                "seconds as a number")
-    if timeout <= 0:
-        raise SSTCoreError(f"task timeout must be positive, got {timeout}")
-    return timeout
-
-
-def effective_retry_budget(budget: int | None = None) -> int:
-    """Pool relaunches allowed: explicit, ``SST_RETRY_BUDGET``, or 2."""
-    if budget is None:
-        raw = os.environ.get(RETRY_BUDGET_ENV, "").strip()
-        if not raw:
-            return DEFAULT_RETRY_BUDGET
-        try:
-            budget = int(raw)
-        except ValueError:
-            raise SSTCoreError(
-                f"invalid {RETRY_BUDGET_ENV} value {raw!r}; expected an "
-                "integer")
-    if budget < 0:
-        raise SSTCoreError(f"retry budget cannot be negative, got {budget}")
-    return budget
+    if task_timeout is not None and task_timeout <= 0:
+        raise SSTCoreError(
+            f"task timeout must be positive, got {task_timeout}")
+    if retry_budget < 0:
+        raise SSTCoreError(
+            f"retry budget cannot be negative, got {retry_budget}")
 
 
 def chunk_pairs(pairs: Sequence, chunk_count: int) -> list[list]:
@@ -295,12 +241,15 @@ class BatchSimilarityEngine:
 
     def __init__(self, runner: MeasureRunner, workers: int | None = None,
                  task_timeout: float | None = None,
-                 retry_budget: int | None = None,
+                 retry_budget: int = DEFAULT_RETRY_BUDGET,
                  engine: str | None = None):
+        """``workers=None`` runs serially; ``task_timeout=None`` lets a
+        chunk take as long as it needs."""
+        check_batch_settings(workers, task_timeout, retry_budget)
         self.runner = runner
-        self.workers = effective_workers(workers)
-        self.task_timeout = effective_task_timeout(task_timeout)
-        self.retry_budget = effective_retry_budget(retry_budget)
+        self.workers = 1 if workers is None else workers
+        self.task_timeout = task_timeout
+        self.retry_budget = retry_budget
         self.engine = kernel_engine.resolve_engine(engine)
         #: The runner the batch kernel scores in place of ``runner``,
         #: or ``None`` when batches take the per-pair path.
@@ -501,37 +450,3 @@ class BatchSimilarityEngine:
             for index in pending:
                 values_by_chunk[index] = _score_chunk_pairs(
                     self.runner, chunks[index], self.engine)
-
-
-# ---------------------------------------------------------------------------
-# Module-level conveniences
-# ---------------------------------------------------------------------------
-
-
-def score_pairs(runner: MeasureRunner, pairs: Sequence,
-                workers: int | None = None,
-                engine: str | None = None) -> list[float]:
-    """One-shot batch scoring of concept pairs."""
-    return BatchSimilarityEngine(runner, workers,
-                                 engine=engine).score_pairs(pairs)
-
-
-def score_against(runner: MeasureRunner, anchor: QualifiedConcept,
-                  candidates: Sequence[QualifiedConcept],
-                  workers: int | None = None,
-                  engine: str | None = None) -> list[float]:
-    """One-shot anchor-vs-candidates scoring."""
-    return BatchSimilarityEngine(runner, workers,
-                                 engine=engine).score_against(anchor,
-                                                              candidates)
-
-
-def similarity_matrix(runner: MeasureRunner,
-                      concepts: Sequence[QualifiedConcept],
-                      symmetric: bool = True,
-                      workers: int | None = None,
-                      engine: str | None = None) -> list[list[float]]:
-    """One-shot pairwise similarity matrix."""
-    return BatchSimilarityEngine(runner, workers,
-                                 engine=engine).similarity_matrix(
-        concepts, symmetric=symmetric)

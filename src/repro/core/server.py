@@ -11,7 +11,8 @@ HTTP/JSON server on :func:`asyncio.start_server` that
   per-pair measures' CachedRunner L1/L2 — across all requests,
 * **batches** each request's pairs through the existing batch
   kernel/parallel engine (one ``score_pairs`` call per request, not a
-  Python loop per pair),
+  Python loop per pair), in-process: the facade's engines run serially,
+  so a request thread never forks a process pool,
 * speaks **persistent HTTP/1.1**: connections default to
   ``keep-alive`` with per-connection defenses — one read deadline
   (``--idle-timeout``) on the request line, the header block and the
@@ -1139,7 +1140,14 @@ def serve(toolkit, config: ServerConfig | None = None,
                 f"ontologies, {toolkit.concept_count()} concepts)")
         await task
 
-    asyncio.run(_main())
+    try:
+        asyncio.run(_main())
+    except OSError as error:
+        if server.port is not None:
+            raise
+        # A failed bind (port in use, bad host): one typed error, the
+        # same one serve_in_thread raises.
+        raise SSTCoreError(f"sst serve failed to start: {error}") from error
     if log is not None:
         report = server.drain_report
         log(f"sst serve: drained ({report['completed']} completed, "

@@ -16,6 +16,8 @@ import time
 
 import pytest
 
+from repro.core import telemetry
+from repro.core.parallel import SERIAL
 from repro.core.registry import Measure
 from repro.core.resilience import CircuitBreaker, injected_faults
 from repro.core.server import ServerConfig, serve_in_thread
@@ -169,31 +171,45 @@ class TestBreakerChaos:
             assert handle.service.breaker.state == CircuitBreaker.CLOSED
 
 
-class TestWorkerCrashChaos:
-    def test_crashing_pool_workers_under_traffic_stay_identical(
-            self, monkeypatch):
+def _spans(roots, name):
+    for root in roots:
+        if root.name == name:
+            yield root
+        yield from _spans(root.children, name)
+
+
+class TestServeNeverForks:
+    def test_stale_workers_variable_scores_in_process(self, monkeypatch):
+        # Forking a pool from a request thread of a multi-threaded
+        # server can deadlock; serve scores every request in-process
+        # whatever the environment says.
         monkeypatch.setenv("SST_WORKERS", "2")
-        monkeypatch.setenv("SST_RETRY_BUDGET", "1")
-        payload = {"pairs": [["chaos", NAMES[index],
-                              "chaos", NAMES[index + 9]]
-                             for index in range(12)],
-                   # A per-pair measure: the kernel's are never forked.
+        pairs = [(("chaos", NAMES[index]), ("chaos", NAMES[index + 9]))
+                 for index in range(12)]
+        payload = {"pairs": [[*first, *second] for first, second in pairs],
+                   # A per-pair measure: the kernel's never forked anyway.
                    "measure": int(Measure.LEVENSHTEIN)}
-        with serve_in_thread(chaos_toolkit()) as handle:
-            client = client_for(handle)
-            status, _, clean = client.post_json("/v1/similarity", payload)
-            assert status == 200
-            degraded = counter("resilience.degraded")
-            with injected_faults("worker.crash=99"):
-                # Every forked worker kills its first 99 chunks; the
-                # request must fall back to a serial batch in the
-                # parent and still answer the same bytes.
-                status, _, body = client.post_json("/v1/similarity",
-                                                   payload)
-            assert status == 200, body
-            assert body == clean
-            assert counter("resilience.degraded") >= degraded + 1
-            assert client.get_json("/healthz")["status"] == "ok"
+        toolkit = chaos_toolkit()
+        expected = [toolkit.get_similarity(first[1], first[0], second[1],
+                                           second[0], Measure.LEVENSHTEIN)
+                    for first, second in pairs]
+        telemetry.get_tracer().clear()
+        before = {name: counter(name)
+                  for name in telemetry.get_registry().names()
+                  if name.startswith("resilience.")}
+        with serve_in_thread(toolkit) as handle:
+            status, _, body = client_for(handle).post_json("/v1/similarity",
+                                                           payload)
+        assert status == 200, body
+        assert json.loads(body)["values"] == expected
+        batches = list(_spans(telemetry.get_tracer().drain(),
+                              "parallel.score_pairs"))
+        assert batches
+        assert {span.labels["strategy"] for span in batches} == {SERIAL}
+        after = {name: counter(name)
+                 for name in telemetry.get_registry().names()
+                 if name.startswith("resilience.")}
+        assert after == before
 
 
 class TestCacheCorruptionChaos:

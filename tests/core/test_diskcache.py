@@ -571,12 +571,6 @@ class TestFacadeWiring:
                               CachedRunner)
         assert sst.disk_cache is None
 
-    def test_no_cache_environment_disables(self, mini_soqa, monkeypatch):
-        monkeypatch.setenv("SST_NO_CACHE", "1")
-        sst = SOQASimPackToolkit(mini_soqa)
-        assert not isinstance(sst.runner(Measure.TFIDF),
-                              CachedRunner)
-
     def test_warm_start_across_facades(self, mini_soqa, tmp_path):
         directory = tmp_path / "shared"
         cold = SOQASimPackToolkit(mini_soqa, cache_dir=directory)

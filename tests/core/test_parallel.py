@@ -6,13 +6,8 @@ from repro.core.cache import CachedRunner
 from repro.core.parallel import (
     PROCESS,
     SERIAL,
-    WORKERS_ENV,
     BatchSimilarityEngine,
     chunk_pairs,
-    effective_workers,
-    score_against,
-    score_pairs,
-    similarity_matrix,
 )
 from repro.core.registry import Measure
 from repro.core.results import QualifiedConcept
@@ -48,26 +43,21 @@ class TestChunking:
 
 
 class TestWorkerResolution:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
-        assert effective_workers() == 1
+    @pytest.fixture
+    def runner(self, mini_sst):
+        return mini_sst.runner(Measure.LEVENSHTEIN)
 
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "8")
-        assert effective_workers(2) == 2
+    def test_default_is_one(self, runner):
+        assert BatchSimilarityEngine(runner).workers == 1
 
-    def test_environment_fallback(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        assert effective_workers() == 3
+    def test_explicit_wins(self, monkeypatch, runner):
+        # The worker count has one source: a stale variable is ignored.
+        monkeypatch.setenv("SST_WORKERS", "8")
+        assert BatchSimilarityEngine(runner, workers=2).workers == 2
 
-    def test_invalid_environment_rejected(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "lots")
+    def test_nonpositive_rejected(self, runner):
         with pytest.raises(SSTCoreError):
-            effective_workers()
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(SSTCoreError):
-            effective_workers(0)
+            BatchSimilarityEngine(runner, workers=0)
 
 
 class TestStrategyResolution:
@@ -78,18 +68,13 @@ class TestStrategyResolution:
     def runner(self, mini_sst):
         return mini_sst.runner(Measure.LEVENSHTEIN)
 
-    def test_defaults_follow_worker_count(self, monkeypatch, runner):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
+    def test_defaults_follow_worker_count(self, runner):
         assert BatchSimilarityEngine(runner).strategy == SERIAL
         assert BatchSimilarityEngine(runner, workers=1).strategy == SERIAL
         assert BatchSimilarityEngine(runner, workers=4).strategy == PROCESS
 
-    def test_environment_fallback(self, monkeypatch, runner):
-        monkeypatch.setenv(WORKERS_ENV, "4")
-        assert BatchSimilarityEngine(runner).strategy == PROCESS
-
     def test_explicit_wins(self, monkeypatch, runner):
-        monkeypatch.setenv(WORKERS_ENV, "4")
+        monkeypatch.setenv("SST_WORKERS", "4")
         assert BatchSimilarityEngine(runner, workers=1).strategy == SERIAL
 
     def test_stale_strategy_variable_is_ignored(self, monkeypatch, runner):
@@ -108,42 +93,38 @@ class TestBatchScoring:
         return mini_sst.runner(Measure.SHORTEST_PATH)
 
     def test_empty_batch(self, runner):
-        assert score_pairs(runner, []) == []
+        assert BatchSimilarityEngine(runner).score_pairs([]) == []
 
     @STRATEGY_WORKERS
     def test_strategies_agree_with_serial_loop(self, runner, workers):
         expected = [runner.run(first, second) for first, second in PAIRS]
-        assert score_pairs(runner, PAIRS, workers=workers) == expected
+        engine = BatchSimilarityEngine(runner, workers=workers)
+        assert engine.score_pairs(PAIRS) == expected
 
     def test_score_against(self, runner):
         expected = [runner.run(PERSON, other) for other in CONCEPTS]
-        assert score_against(runner, PERSON, CONCEPTS,
-                             workers=2) == expected
+        engine = BatchSimilarityEngine(runner, workers=2)
+        assert engine.score_against(PERSON, CONCEPTS) == expected
 
     @STRATEGY_WORKERS
     def test_matrix_matches_facade(self, mini_sst, runner, workers):
         expected = mini_sst.get_similarity_matrix(
             [(c.ontology_name, c.concept_name) for c in CONCEPTS],
             Measure.SHORTEST_PATH)
-        assert similarity_matrix(runner, list(CONCEPTS),
-                                 workers=workers) == expected
+        engine = BatchSimilarityEngine(runner, workers=workers)
+        assert engine.similarity_matrix(list(CONCEPTS)) == expected
 
     def test_asymmetric_matrix(self, runner):
-        symmetric = similarity_matrix(runner, list(CONCEPTS))
-        full = similarity_matrix(runner, list(CONCEPTS), symmetric=False,
-                                 workers=2)
+        symmetric = BatchSimilarityEngine(runner).similarity_matrix(
+            list(CONCEPTS))
+        full = BatchSimilarityEngine(runner, workers=2).similarity_matrix(
+            list(CONCEPTS), symmetric=False)
         assert full == symmetric  # the measure really is symmetric
 
     def test_single_pair_short_circuits_to_serial(self, runner):
         engine = BatchSimilarityEngine(runner, workers=4)
         assert engine.score_pairs([(PERSON, STUDENT)]) == [
             runner.run(PERSON, STUDENT)]
-
-    def test_engine_reads_environment(self, monkeypatch, mini_sst):
-        monkeypatch.setenv(WORKERS_ENV, "2")
-        engine = BatchSimilarityEngine(mini_sst.runner(Measure.LEVENSHTEIN))
-        assert engine.workers == 2
-        assert engine.strategy == PROCESS
 
 
 class TestCacheComposition:

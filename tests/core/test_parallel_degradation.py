@@ -14,12 +14,8 @@ from repro.core import parallel, telemetry
 from repro.core.parallel import (
     DEFAULT_RETRY_BUDGET,
     PROCESS,
-    RETRY_BUDGET_ENV,
     SERIAL,
-    TASK_TIMEOUT_ENV,
     BatchSimilarityEngine,
-    effective_retry_budget,
-    effective_task_timeout,
 )
 from repro.core.registry import Measure
 from repro.core.resilience import injected_faults
@@ -61,44 +57,25 @@ def serial_values(runner):
 
 
 class TestKnobResolution:
-    def test_timeout_default_is_none(self, monkeypatch):
-        monkeypatch.delenv(TASK_TIMEOUT_ENV, raising=False)
-        assert effective_task_timeout() is None
+    def test_timeout_default_is_none(self, runner):
+        assert BatchSimilarityEngine(runner).task_timeout is None
+        engine = BatchSimilarityEngine(runner, task_timeout=0.2)
+        assert engine.task_timeout == 0.2
 
-    def test_timeout_environment_fallback(self, monkeypatch):
-        monkeypatch.setenv(TASK_TIMEOUT_ENV, "1.5")
-        assert effective_task_timeout() == 1.5
-        assert effective_task_timeout(0.2) == 0.2  # explicit wins
+    def test_invalid_timeout_rejected(self, runner):
+        for timeout in (0, -1.5):
+            with pytest.raises(SSTCoreError):
+                BatchSimilarityEngine(runner, task_timeout=timeout)
 
-    def test_invalid_timeout_rejected(self, monkeypatch):
-        monkeypatch.setenv(TASK_TIMEOUT_ENV, "soon")
-        with pytest.raises(SSTCoreError):
-            effective_task_timeout()
-        with pytest.raises(SSTCoreError):
-            effective_task_timeout(0)
-
-    def test_budget_default(self, monkeypatch):
-        monkeypatch.delenv(RETRY_BUDGET_ENV, raising=False)
-        assert effective_retry_budget() == DEFAULT_RETRY_BUDGET
-
-    def test_budget_environment_fallback(self, monkeypatch):
-        monkeypatch.setenv(RETRY_BUDGET_ENV, "5")
-        assert effective_retry_budget() == 5
-        assert effective_retry_budget(0) == 0  # zero is a valid choice
-
-    def test_invalid_budget_rejected(self, monkeypatch):
-        monkeypatch.setenv(RETRY_BUDGET_ENV, "many")
-        with pytest.raises(SSTCoreError):
-            effective_retry_budget()
-        with pytest.raises(SSTCoreError):
-            effective_retry_budget(-1)
-
-    def test_engine_reads_environment(self, monkeypatch, runner):
-        monkeypatch.setenv(TASK_TIMEOUT_ENV, "2.5")
-        monkeypatch.setenv(RETRY_BUDGET_ENV, "1")
+    def test_budget_default(self, runner):
         engine = BatchSimilarityEngine(runner)
-        assert engine.task_timeout == 2.5
-        assert engine.retry_budget == 1
+        assert engine.retry_budget == DEFAULT_RETRY_BUDGET
+        # Zero is a valid choice: degrade at the first pool failure.
+        assert BatchSimilarityEngine(runner, retry_budget=0).retry_budget == 0
+
+    def test_invalid_budget_rejected(self, runner):
+        with pytest.raises(SSTCoreError):
+            BatchSimilarityEngine(runner, retry_budget=-1)
 
 
 #: The worker count that selects each way of running a batch.

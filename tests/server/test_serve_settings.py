@@ -4,12 +4,13 @@
 serve (a connection cap of 0 answers every connection with 503, a
 negative body cap every POST with 413), and ``sst serve`` reports the
 refusal as one ``error:`` line before it loads the corpus or binds a
-socket.
+socket.  A port that is already taken is reported the same way.
 """
 
 from __future__ import annotations
 
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -64,4 +65,26 @@ def test_serve_refuses_an_out_of_range_flag_before_binding(tmp_path, flag,
     assert result.returncode != 0
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+    assert "listening" not in result.stdout + result.stderr
+
+
+def test_serve_on_a_busy_port_reports_one_error_line(tmp_path):
+    owl = tmp_path / "univ.owl"
+    owl.write_text(MINI_OWL, encoding="utf-8")
+    env = {key: item for key, item in os.environ.items()
+           if not key.startswith("SST_")}
+    env["PYTHONPATH"] = SRC
+    env["SST_CACHE_DIR"] = str(tmp_path / "cache")
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "--ontology-file", str(owl),
+             "serve", "--host", "127.0.0.1", "--port", str(port)],
+            capture_output=True, text=True, env=env, timeout=60.0)
+    assert result.returncode == 1, result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+    assert "Traceback" not in result.stderr
     assert "listening" not in result.stdout + result.stderr

@@ -77,14 +77,6 @@ class TestWarmStart:
         # Nothing was persisted either:
         assert main(["cache", "stats", "--format", "json"]) == 0
 
-    def test_no_cache_environment(self, capsys, owl_file, cache_dir,
-                                  monkeypatch):
-        monkeypatch.setenv("SST_NO_CACHE", "1")
-        argv = ["--ontology-file", owl_file, "ksim", "univ", "Person",
-                "-k", "2", "-m", "TFIDF"]
-        assert main(argv) == 0
-        assert "disk cache" not in capsys.readouterr().err
-
     def test_ksim_reports_cache(self, capsys, owl_file, cache_dir):
         argv = ["--ontology-file", owl_file, "ksim", "univ", "Person",
                 "-k", "2", "-m", "TFIDF"]

@@ -1,18 +1,20 @@
-"""The ``SST_*`` environment knobs and the ``sst serve`` flags in the
-code and in the README agree.
+"""The ``SST_*`` environment knobs and the ``sst`` flags in the code
+and in the README agree.
 
 Every ``SST_`` name the package reads must be documented, and every
 documented name must still exist in the package, so a removed knob
 cannot linger in the docs and a new one cannot ship undocumented.
-``sst serve`` is configured by flags alone, so the README's serve
-section is held to the parser the same way.
+Only deployment-level switches are environment knobs; every serve,
+batch and cache setting is a flag.  ``sst serve`` is configured by
+flags alone, so the README's serve section is held to the parser the
+same way, and every batch and global flag must appear in the README.
 """
 
 import argparse
 import re
 from pathlib import Path
 
-from repro.cli import build_parser
+from repro.cli import _add_parallel_arguments, build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 KNOB = re.compile(r"SST_[A-Z0-9_]+")
@@ -39,6 +41,11 @@ def test_every_source_knob_is_documented():
     assert not undocumented, (
         f"SST_* names read in src/repro but missing from README.md: "
         f"{sorted(undocumented)}")
+
+
+def test_only_deployment_switches_are_environment_knobs():
+    assert _source_knobs() == {"SST_CACHE_DIR", "SST_FAULTS",
+                               "SST_INDEX_PERSIST", "SST_TELEMETRY"}
 
 
 def test_every_documented_knob_exists():
@@ -83,3 +90,14 @@ def test_every_documented_serve_flag_exists():
     assert not stale, (
         f"flags in README.md's serve section that sst no longer has: "
         f"{sorted(stale)}")
+
+
+def test_every_batch_and_global_flag_is_documented():
+    batch = argparse.ArgumentParser()
+    _add_parallel_arguments(batch)
+    flags = _flags(batch) | _flags(build_parser())
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    undocumented = flags - set(FLAG.findall(readme))
+    assert not undocumented, (
+        f"batch or global sst flags missing from README.md: "
+        f"{sorted(undocumented)}")
