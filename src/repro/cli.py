@@ -425,23 +425,35 @@ def _run(arguments: argparse.Namespace) -> int:
         return _run_cache(arguments)
     if command == "import":
         return _run_import(arguments)
-    # A bad serve flag fails before the corpus loads or a socket binds.
-    serve_config = _serve_config(arguments) if command == "serve" else None
+    if command == "serve":
+        return _run_serve(arguments)
     sst = _load_toolkit(arguments)
     try:
-        if serve_config is not None:
-            from repro.core.server import serve
-
-            # Blocks until drained; the corpus loaded above is shared
-            # by every request, which is scored in-process.
-            serve(sst, serve_config,
-                  log=lambda line: print(line, file=sys.stderr))
-            return 0
         return _dispatch(sst, arguments)
     finally:
         # Persist any scores still buffered for the L2 tier, so the
         # next invocation over the same corpus warm-starts.
         sst.flush_caches()
+
+
+def _run_serve(arguments: argparse.Namespace) -> int:
+    """``sst serve``: bind, load the corpus, serve until drained.
+
+    A bad serve flag or a taken port fails before the corpus loads:
+    the socket is bound first and handed to the server.  The corpus is
+    shared by every request, which is scored in-process.
+    """
+    from repro.core.server import listen, serve
+
+    config = _serve_config(arguments)
+    with listen(config) as listener:
+        sst = _load_toolkit(arguments)
+        try:
+            serve(sst, config, log=lambda line: print(line, file=sys.stderr),
+                  listener=listener)
+        finally:
+            sst.flush_caches()
+    return 0
 
 
 def _report_cache(sst: SOQASimPackToolkit) -> None:

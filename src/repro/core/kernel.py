@@ -156,9 +156,10 @@ class SimilarityKernel:
     One kernel per :class:`~repro.core.wrapper.SOQAWrapperForSimPack`
     (i.e. per corpus fingerprint — the facade swaps the wrapper when
     the ontology set changes).  Construction forces the compiled
-    taxonomy index and exports its tables; the IC column and the
-    per-distance value tables of the path measures fill lazily on
-    first use and are shared by every batch thereafter.
+    taxonomy index, exports its tables and computes the IC column, so
+    a built kernel does no per-corpus work for a pair; the per-distance
+    values of the path measures fill lazily, one distance at a time,
+    and are shared by every batch thereafter.
     """
 
     def __init__(self, wrapper: "SOQAWrapperForSimPack"):
@@ -169,8 +170,16 @@ class SimilarityKernel:
         telemetry.count("kernel.builds")
         #: String keys: a frozen dataclass would hash in Python per lookup.
         self._node_ids: dict[tuple[str, str], int] = {}
-        self._ic: list[float] | None = None
-        self._max_ic: float | None = None
+        size = self.tables.size
+        # Per-node IC under the subclasses estimator: exactly
+        # ``-log2(descendant_count / size) + 0.0`` per node, the same
+        # two operations :meth:`repro.simpack.infocontent.
+        # InformationContent.ic` performs, so every entry is
+        # bit-identical to the scalar path.
+        self._ic = [-math.log2(count / size) + 0.0
+                    for count in self.tables.descendant_counts]
+        #: The taxonomy's maximum IC (``log2`` of the node count).
+        self._max_ic = math.log2(size)
         self._edge_values: dict[int, float] = {}
         self._lc_values: dict[int, float] = {}
 
@@ -193,26 +202,6 @@ class SimilarityKernel:
         return [(resolve(first), resolve(second)) for first, second in pairs]
 
     # -- shared per-node/per-distance tables --------------------------------
-
-    def _ic_table(self) -> list[float]:
-        """Per-node IC under the subclasses estimator.
-
-        Exactly ``-log2(descendant_count / size) + 0.0`` per node — the
-        same two operations :meth:`repro.simpack.infocontent.
-        InformationContent.ic` performs, so every entry is bit-identical
-        to the scalar path.
-        """
-        if self._ic is None:
-            size = self.tables.size
-            self._ic = [-math.log2(count / size) + 0.0
-                        for count in self.tables.descendant_counts]
-        return self._ic
-
-    def max_ic(self) -> float:
-        """The taxonomy's maximum IC (``log2`` of the node count)."""
-        if self._max_ic is None:
-            self._max_ic = math.log2(self.tables.size)
-        return self._max_ic
 
     def _edge_value(self, distance: int) -> float:
         """Eq. 5 score of one path length (memoized per distance)."""
@@ -334,7 +323,7 @@ class SimilarityKernel:
         without a common subsumer.
         """
         ancestor_distances = self.tables.ancestor_distances
-        ic = self._ic_table()
+        ic = self._ic
         out: list[float | None] = []
         append = out.append
         for first, second in id_pairs:
@@ -458,7 +447,7 @@ class SimilarityKernel:
         group's first ancestor, as the candidate, bounds the rest.
         """
         child_ids = self.tables.child_ids
-        ic = self._ic_table()
+        ic = self._ic
         ancestors = sorted(self.tables.ancestor_distances[anchor],
                            key=ic.__getitem__, reverse=True)
         groups = [list(group) for _, group
@@ -542,7 +531,7 @@ class SimilarityKernel:
 
     def _lin(self, id_pairs, subsumer_ics: list[float | None],
              ) -> list[float]:
-        ic = self._ic_table()
+        ic = self._ic
         values: list[float] = []
         for (first, second), subsumer_ic in zip(id_pairs, subsumer_ics):
             if first == second:
@@ -566,7 +555,7 @@ class SimilarityKernel:
     def _resnik_normalized(self, id_pairs,
                            subsumer_ics: list[float | None],
                            ) -> list[float]:
-        maximum = self.max_ic()
+        maximum = self._max_ic
         values: list[float] = []
         for subsumer_ic in subsumer_ics:
             if subsumer_ic is None or maximum == 0.0:
@@ -577,8 +566,8 @@ class SimilarityKernel:
 
     def _jiang_conrath(self, id_pairs, subsumer_ics: list[float | None],
                        ) -> list[float]:
-        ic = self._ic_table()
-        maximum = 2.0 * self.max_ic()
+        ic = self._ic
+        maximum = 2.0 * self._max_ic
         values: list[float] = []
         for (first, second), subsumer_ic in zip(id_pairs, subsumer_ics):
             if first == second:

@@ -45,7 +45,8 @@ class SOQAWrapperForSimPack:
         # Guards every lazy single-build attribute below.  The wrapper is
         # shared across server request threads; without the lock two
         # concurrent first calls each build (and then disagree on) the
-        # kernel / vector space / IC tables.
+        # kernel / vector space / IC tables.  A built kernel is read
+        # without it.
         self._lazy_lock = threading.RLock()
 
     def __getstate__(self) -> dict:
@@ -77,11 +78,19 @@ class SOQAWrapperForSimPack:
         change).  Imported lazily to keep the wrapper importable from
         the kernel module itself.
         """
+        kernel = self._kernel
+        if kernel is not None:  # built: no lock to wait on
+            return kernel
         with self._lazy_lock:
             if self._kernel is None:
                 from repro.core.kernel import SimilarityKernel
                 self._kernel = SimilarityKernel(self)
             return self._kernel
+
+    @property
+    def has_kernel(self) -> bool:
+        """Whether :meth:`kernel` is built; never builds or locks."""
+        return self._kernel is not None
 
     def depth(self, concept: QualifiedConcept) -> int:
         """Depth of the concept below the unified root."""

@@ -3,7 +3,9 @@
 The mini-Lucene at the bottom of the TFIDF measure: documents go in as
 raw text, get tokenized and Porter-stemmed, and the index keeps the
 postings (term -> {document -> term frequency}) plus the document
-statistics TFIDF weighting needs.
+statistics TFIDF weighting needs.  Each distinct token is stemmed once
+per index: a corpus repeats its words, and the stemmer is the costly
+step of indexing.
 """
 
 from __future__ import annotations
@@ -27,12 +29,20 @@ class InvertedIndex:
         self._tokenize = tokenizer
         self._postings: dict[str, dict[str, int]] = {}
         self._document_lengths: dict[str, int] = {}
+        self._stems: dict[str, str] = {}
 
     # -- building -----------------------------------------------------------
 
     def analyze(self, text: str) -> list[str]:
         """Tokenize and stem ``text`` into index terms."""
-        return [self._stem(token) for token in self._tokenize(text)]
+        stems = self._stems
+        terms = []
+        for token in self._tokenize(text):
+            term = stems.get(token)
+            if term is None:
+                term = stems[token] = self._stem(token)
+            terms.append(term)
+        return terms
 
     def add_document(self, document_id: str, text: str) -> None:
         """Index ``text`` under ``document_id`` (replacing any old copy)."""
@@ -93,6 +103,19 @@ class InvertedIndex:
         return {term: posting[document_id]
                 for term, posting in self._postings.items()
                 if document_id in posting}
+
+    def document_term_maps(self) -> dict[str, dict[str, int]]:
+        """:meth:`document_terms` of every document, in one pass.
+
+        One walk over the postings instead of one per document; each
+        map lists its terms in the same (postings) order.
+        """
+        maps: dict[str, dict[str, int]] = {
+            document_id: {} for document_id in self._document_lengths}
+        for term, posting in self._postings.items():
+            for document_id, frequency in posting.items():
+                maps[document_id][term] = frequency
+        return maps
 
     def documents_containing(self, term: str) -> dict[str, int]:
         """The posting list of ``term``: ``document_id -> frequency``."""

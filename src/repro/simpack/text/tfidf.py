@@ -44,15 +44,27 @@ class TfidfVectorSpace:
         cached = self._vector_cache.get(document_id)
         if cached is not None:
             return cached
+        if not self._vector_cache and document_id in self.index:
+            # First use: weigh every document from one pass over the
+            # postings; the term maps are dropped once weighed.
+            self._vector_cache.update(
+                (document, self._weigh(terms)) for document, terms
+                in self.index.document_term_maps().items())
+            return self._vector_cache[document_id]
+        weights = self._weigh(self.index.document_terms(document_id))
+        self._vector_cache[document_id] = weights
+        return weights
+
+    def _weigh(self, frequencies: dict[str, int]) -> dict[str, float]:
+        """L2-normalized ``(1 + log tf) * idf`` weights, in term order."""
         weights: dict[str, float] = {}
-        for term, frequency in self.index.document_terms(document_id).items():
+        for term, frequency in frequencies.items():
             term_weight = (1.0 + math.log(frequency)) * self._idf(term)
             if term_weight > 0.0:
                 weights[term] = term_weight
         norm = math.sqrt(sum(value * value for value in weights.values()))
         if norm > 0.0:
             weights = {term: value / norm for term, value in weights.items()}
-        self._vector_cache[document_id] = weights
         return weights
 
     def similarity(self, first_id: str, second_id: str) -> float:
@@ -91,16 +103,7 @@ class TfidfVectorSpace:
         """
         from collections import Counter
 
-        weights: dict[str, float] = {}
-        for term, frequency in Counter(self.index.analyze(text)).items():
-            term_weight = (1.0 + math.log(frequency)) * self._idf(term)
-            if term_weight > 0.0:
-                weights[term] = term_weight
-        norm = math.sqrt(sum(value * value for value in weights.values()))
-        if norm > 0.0:
-            weights = {term: value / norm
-                       for term, value in weights.items()}
-        return weights
+        return self._weigh(Counter(self.index.analyze(text)))
 
     def search(self, text: str, k: int = 10) -> list[tuple[str, float]]:
         """Free-text retrieval: the ``k`` best documents for ``text``.

@@ -4,7 +4,8 @@
 serve (a connection cap of 0 answers every connection with 503, a
 negative body cap every POST with 413), and ``sst serve`` reports the
 refusal as one ``error:`` line before it loads the corpus or binds a
-socket.  A port that is already taken is reported the same way.
+socket.  A port that is already taken is reported the same way, also
+before the corpus loads.
 """
 
 from __future__ import annotations
@@ -18,8 +19,11 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.cli import main
 from repro.core.server import ServerConfig
 from repro.errors import SSTCoreError
+from repro.ontologies.generator import generate_wordnet_data
+from repro.soqa.api import SOQA
 from tests.conftest import MINI_OWL
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -88,3 +92,46 @@ def test_serve_on_a_busy_port_reports_one_error_line(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
     assert "Traceback" not in result.stderr
     assert "listening" not in result.stdout + result.stderr
+
+
+def test_serve_binds_before_it_loads_the_corpus(tmp_path):
+    """A taken port fails before a 20k-synset corpus loads or compiles:
+    no index artifact is written."""
+    corpus = tmp_path / "big.wn"
+    corpus.write_text(generate_wordnet_data(20000, seed=1),
+                      encoding="utf-8")
+    cache = tmp_path / "cache"
+    env = {key: item for key, item in os.environ.items()
+           if not key.startswith("SST_")}
+    env["PYTHONPATH"] = SRC
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "--cache-dir", str(cache),
+             "--ontology-file", str(corpus), "serve", "--host", "127.0.0.1",
+             "--port", str(port)],
+            capture_output=True, text=True, env=env, timeout=120.0)
+    assert result.returncode == 1, result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+    assert not list(cache.rglob("*.sstidx"))
+
+
+def test_a_taken_port_fails_before_any_ontology_loads(tmp_path, monkeypatch,
+                                                      capsys):
+    def _refuse(*args, **kwargs):
+        raise AssertionError("the corpus loaded before the port was bound")
+
+    monkeypatch.setattr(SOQA, "load_file", _refuse)
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        code = main(["--cache-dir", str(tmp_path / "cache"),
+                     "--ontology-file", str(tmp_path / "never.owl"),
+                     "serve", "--host", "127.0.0.1", "--port", str(port)])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines

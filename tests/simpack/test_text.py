@@ -186,6 +186,28 @@ class TestInvertedIndex:
         assert set(index.documents_containing("cours")) == {"prof",
                                                             "student"}
 
+    def test_document_term_maps_match_document_terms(self, index):
+        index.add_document("empty", "the and a")
+        maps = index.document_term_maps()
+        assert list(maps) == index.document_ids()
+        for document_id, terms in maps.items():
+            expected = index.document_terms(document_id)
+            assert list(terms.items()) == list(expected.items())
+        assert maps["empty"] == {}
+
+    def test_each_distinct_token_is_stemmed_once(self):
+        stemmed: list[str] = []
+
+        def counting_stem(token: str) -> str:
+            stemmed.append(token)
+            return porter_stem(token)
+
+        index = InvertedIndex(stem=counting_stem)
+        index.add_documents([("one", "courses teach courses"),
+                             ("two", "teach courses students")])
+        assert sorted(stemmed) == ["courses", "students", "teach"]
+        assert index.term_frequency("cours", "one") == 2
+
 
 class TestTfidf:
     @pytest.fixture

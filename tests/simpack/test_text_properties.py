@@ -1,5 +1,7 @@
 """Property-based tests for the text engine."""
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -90,3 +92,28 @@ def test_bm25_self_similarity_maximal(documents):
         for other in range(len(documents)):
             assert own >= scorer.similarity(f"d{number}",
                                             f"d{other}") - 1e-9
+
+
+@given(st.lists(texts, min_size=1, max_size=6, unique=True))
+@settings(max_examples=60, deadline=None)
+def test_tfidf_vectors_equal_the_one_document_reference(documents):
+    """Every vector, weighed at first use from one pass over the
+    postings, equals the per-document formula float for float, in the
+    same term order."""
+    index = InvertedIndex()
+    for number, document in enumerate(documents):
+        index.add_document(f"d{number}", document)
+    space = TfidfVectorSpace(index)
+    total = index.document_count
+    for document_id in reversed(index.document_ids()):
+        weights = {}
+        for term, frequency in index.document_terms(document_id).items():
+            weight = (1.0 + math.log(frequency)) * math.log(
+                1.0 + total / index.document_frequency(term))
+            if weight > 0.0:
+                weights[term] = weight
+        norm = math.sqrt(sum(value * value for value in weights.values()))
+        if norm > 0.0:
+            weights = {term: value / norm for term, value in weights.items()}
+        assert list(space.vector(document_id).items()) == list(
+            weights.items())
