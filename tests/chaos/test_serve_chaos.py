@@ -218,7 +218,10 @@ class TestCacheCorruptionChaos:
         with serve_in_thread(chaos_toolkit(cache=True)) as handle:
             status, _, clean = matrix(client_for(handle), CACHED_PAYLOAD)
             assert status == 200
-            handle.service.toolkit.flush_caches()
+            # Flush and close, as the first boot's process would on
+            # exit: a connection left for the garbage collector could
+            # checkpoint its WAL over the scribbled header at any time.
+            handle.service.toolkit.disk_cache.close()
         quarantined = counter("cache.l2.quarantined")
         with injected_faults("cache.corrupt=1"):
             # A fresh boot over the (scribbled-at-connect) store must
@@ -271,7 +274,10 @@ class TestChaosVisibility:
         with serve_in_thread(chaos_toolkit(cache=True)) as handle:
             status, _, clean = matrix(client_for(handle), CACHED_PAYLOAD)
             assert status == 200
-            handle.service.toolkit.flush_caches()
+            # Flush and close, as the first boot's process would on
+            # exit: a connection left for the garbage collector could
+            # checkpoint its WAL over the scribbled header at any time.
+            handle.service.toolkit.disk_cache.close()
         quarantined = counter("cache.l2.quarantined")
         config = ServerConfig(port=0, deadline_seconds=0.4)
         with injected_faults("server.slow=1@1.0,cache.corrupt=1"):
